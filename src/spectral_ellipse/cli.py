@@ -133,12 +133,13 @@ class TrialRecord:
 def run_trial(kind: str, n: int, trial_seed: int, settings: PipelineSettings) -> TrialRecord:
     """One verification trial: generate, eigensolve, build the ellipse from
     the normalized spectrum, certify containment, and sweep the directional
-    oracle.  MomentMismatch is recorded, not raised."""
+    oracle.  MomentMismatch and NonConvergence are recorded, not raised."""
     a = generate(EnsembleSpec(kind=kind, n=n, seed=trial_seed))
     try:
         spectrum = sp.eigenvalues(a, settings.moment_tol)
-    except MomentMismatch:
-        return TrialRecord(trial_seed, n, None, None, None, None, None, "MomentMismatch")
+    except (MomentMismatch, NonConvergence) as exc:
+        verdict = "NonConvergence" if isinstance(exc, NonConvergence) else "MomentMismatch"
+        return TrialRecord(trial_seed, n, None, None, None, None, None, verdict)
     d = mx.decompose(a)
     shifted = tuple(v - d.gamma for v in spectrum.values)
     q0 = sum(v * v for v in shifted)
@@ -169,13 +170,14 @@ def run_verify(kind: str, n: int, trials: int, seed: int, settings: PipelineSett
 def _summarize(records) -> str:
     contained = sum(1 for r in records if r.verdict == hl.CONTAINED)
     mismatched = sum(1 for r in records if r.verdict == "MomentMismatch")
-    evaluated = len(records) - mismatched
+    unconverged = sum(1 for r in records if r.verdict == "NonConvergence")
+    evaluated = len(records) - mismatched - unconverged
     margins = [r.min_margin for r in records if r.min_margin is not None]
     worst = fmt_float(min(margins)) if margins else "n/a"
-    return (
-        f"{contained}/{evaluated} contained, {mismatched} moment-mismatch skipped, "
-        f"worst margin {worst}"
-    )
+    skipped = f"{mismatched} moment-mismatch skipped, "
+    if unconverged:
+        skipped += f"{unconverged} non-convergence skipped, "
+    return f"{contained}/{evaluated} contained, {skipped}worst margin {worst}"
 
 
 def tightness_rows(n_max: int):
@@ -234,11 +236,17 @@ def bound_report(a) -> dict:
     return report
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _int_at_least(minimum: int):
+    """argparse type: an int >= minimum; anything else is a usage error."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -261,16 +269,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
     pv = sub.add_parser("verify", help="seeded ensemble verification campaign")
     pv.add_argument("--ensemble", choices=KINDS, required=True)
-    pv.add_argument("-n", "--dimension", dest="n", type=int, required=True)
-    pv.add_argument("--trials", type=_positive_int, default=100)
+    pv.add_argument("-n", "--dimension", dest="n", type=_int_at_least(2), required=True)
+    pv.add_argument("--trials", type=_int_at_least(1), default=100)
     pv.add_argument("--seed", type=int, default=0)
     pv.add_argument("--tol", type=float, default=1e-8)
     pv.add_argument("--slack", type=float, default=1e-8)
-    pv.add_argument("--sweep-k", type=int, default=720)
+    pv.add_argument("--sweep-k", type=_int_at_least(4), default=720)
     pv.add_argument("--csv", dest="csv_path", default=None, help="write the trial CSV here")
 
     pt = sub.add_parser("tightness", help="extremal family table for n = 2..n_max")
-    pt.add_argument("n_max", type=int)
+    pt.add_argument("n_max", type=_int_at_least(2))
 
     pb = sub.add_parser("bound", help="trace-only spectral radius lower bound")
     pb.add_argument("path")
@@ -297,8 +305,6 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.n < 2:
-        raise argparse.ArgumentTypeError("verification needs dimension >= 2")
     settings = PipelineSettings(
         moment_tol=args.tol, slack_scale=args.slack, sweep_k=args.sweep_k
     )

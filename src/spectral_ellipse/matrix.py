@@ -23,8 +23,9 @@ class SingularTransform(ValueError):
 
 
 def as_matrix(entries) -> np.ndarray:
-    """Validate and freeze a square complex matrix from any array-like."""
-    a = np.array(entries, dtype=complex)
+    """Validate and freeze a square complex matrix from any array-like,
+    copied into C order."""
+    a = np.array(entries, dtype=complex, order="C")
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):

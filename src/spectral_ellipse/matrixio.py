@@ -1,15 +1,25 @@
 """Matrix ingestion: Matrix Market (array/coordinate, real/complex, general)
-and dense JSON ({"n": ..., "entries": [[re, im], ...]} row-major)."""
+and dense JSON ({"n": ..., "entries": [[re, im], ...]} row-major).
+
+Numeric tokens follow Python `float()` syntax and must be finite.  Each
+format is converted in one numpy pass; the per-token checks run only when
+that pass fails, to name the first offending token or entry.
+"""
 
 from __future__ import annotations
 
 import json
 import math
 import os
+import re
+from itertools import chain, islice
 
 import numpy as np
 
 from .matrix import as_matrix
+
+# the first line as str.splitlines() cuts it
+_FIRST_LINE = re.compile("[^\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]*")
 
 
 class ParseError(ValueError):
@@ -26,13 +36,61 @@ def _finite(x: float) -> float:
     return x
 
 
+def _all_finite(values, count: int) -> np.ndarray | None:
+    """The `count` items of an iterable as float64, converted as `float()`
+    converts them, or None if one does not convert or is not finite."""
+    try:
+        arr = np.fromiter(values, dtype=float, count=count)
+    except (ValueError, OverflowError):
+        return None
+    return arr if np.isfinite(arr).all() else None
+
+
+def _tokens(text: str, first: str) -> list[str]:
+    """Whitespace tokens after the header line, skipping `%` comment lines."""
+    if text.find("%", len(first)) < 0:
+        tokens = text.split()
+        del tokens[:5]  # the header line, already checked to hold 5 tokens
+        return tokens
+    tokens = []
+    for line in text.splitlines()[1:]:
+        line = line.strip()
+        if line and not line.startswith("%"):
+            tokens.extend(line.split())
+    return tokens
+
+
+def _coordinates(tokens: list[str], n: int, nnz: int, width: int):
+    """0-based row indices, column indices and complex values of the
+    coordinate entries after the size line, or None if an index is not an
+    int in 1..n or a value is bad."""
+    stride = 2 + width
+
+    def column(k):
+        return islice(tokens, k, None, stride)
+
+    try:
+        i, j = list(map(int, column(3))), list(map(int, column(4)))
+    except ValueError:
+        return None
+    if nnz and not (min(i) >= 1 and min(j) >= 1 and max(i) <= n and max(j) <= n):
+        return None
+    real = _all_finite(column(5), nnz)
+    imag = _all_finite(column(6), nnz) if width == 2 else np.zeros(nnz)
+    if real is None or imag is None:
+        return None
+    values = np.empty(nnz, dtype=complex)
+    values.real, values.imag = real, imag
+    return np.array(i, dtype=np.intp) - 1, np.array(j, dtype=np.intp) - 1, values
+
+
 def parse_mtx(text: str) -> np.ndarray:
-    lines = text.splitlines()
-    if not lines or not lines[0].lower().startswith("%%matrixmarket"):
+    first = _FIRST_LINE.match(text).group()
+    if not first.lower().startswith("%%matrixmarket"):
         raise ParseError("missing %%MatrixMarket header")
-    header = lines[0].split()
+    header = first.split()
     if len(header) != 5:
-        raise ParseError(f"malformed header: {lines[0]!r}")
+        raise ParseError(f"malformed header: {first!r}")
     _, obj, fmt, field, symmetry = (tok.lower() for tok in header)
     if obj != "matrix":
         raise ParseError(f"unsupported object {obj!r}")
@@ -43,12 +101,7 @@ def parse_mtx(text: str) -> np.ndarray:
     if symmetry != "general":
         raise ParseError(f"unsupported symmetry {symmetry!r}")
 
-    tokens: list[str] = []
-    for line in lines[1:]:
-        line = line.strip()
-        if not line or line.startswith("%"):
-            continue
-        tokens.extend(line.split())
+    tokens = _tokens(text, first)
 
     def take_int(pos: int) -> int:
         try:
@@ -73,35 +126,54 @@ def parse_mtx(text: str) -> np.ndarray:
             raise ParseError(f"expected {expected - 2} data tokens, got {len(tokens) - 2}")
         if rows != cols:
             raise NonSquare(f"matrix is {rows} x {cols}")
-        a = np.zeros((rows, cols), dtype=complex)
-        pos = 2
-        for j in range(cols):  # array data runs down columns
-            for i in range(rows):
-                re = take_float(pos)
-                im = take_float(pos + 1) if width == 2 else 0.0
-                a[i, j] = complex(re, im)
-                pos += width
-        return as_matrix(a)
+        values = _all_finite(islice(tokens, 2, None), expected - 2)
+        if values is None:
+            values = np.array([take_float(pos) for pos in range(2, expected)])
+        data = values.view(complex) if width == 2 else values.astype(complex)
+        return as_matrix(data.reshape(cols, rows).T)  # array data runs down columns
 
     rows, cols, nnz = take_int(0), take_int(1), take_int(2)
     if rows < 1 or cols < 1 or nnz < 0:
         raise ParseError(f"bad size line {rows} {cols} {nnz}")
-    expected = 3 + nnz * (2 + width)
+    stride = 2 + width
+    expected = 3 + nnz * stride
     if len(tokens) != expected:
         raise ParseError(f"expected {expected - 3} entry tokens, got {len(tokens) - 3}")
     if rows != cols:
         raise NonSquare(f"matrix is {rows} x {cols}")
     a = np.zeros((rows, cols), dtype=complex)
-    pos = 3
-    for _ in range(nnz):
+    entries = _coordinates(tokens, rows, nnz, width)
+    if entries is not None:
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.add.at(a, entries[:2], entries[2])  # in file order: duplicates accumulate
+        if not np.isfinite(a).all():
+            raise ParseError("duplicate coordinate entries sum to a non-finite value")
+        return as_matrix(a)
+    for pos in range(3, expected, stride):  # name the first bad entry
         i, j = take_int(pos), take_int(pos + 1)
         if not (1 <= i <= rows and 1 <= j <= cols):
             raise ParseError(f"coordinate ({i}, {j}) out of range")
-        re = take_float(pos + 2)
-        im = take_float(pos + 3) if width == 2 else 0.0
-        a[i - 1, j - 1] += complex(re, im)  # duplicates accumulate
-        pos += 2 + width
+        real = take_float(pos + 2)
+        imag = take_float(pos + 3) if width == 2 else 0.0
+        a[i - 1, j - 1] += complex(real, imag)
     return as_matrix(a)
+
+
+def _json_value(idx: int, v) -> float:
+    try:
+        return _finite(float(v))
+    except OverflowError as exc:  # an int beyond the float range
+        raise ParseError(f"entry {idx} is out of float range") from exc
+
+
+def _json_entry(idx: int, pair) -> complex:
+    if (
+        not isinstance(pair, list)
+        or len(pair) != 2
+        or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in pair)
+    ):
+        raise ParseError(f"entry {idx} is not an [re, im] pair: {pair!r}")
+    return complex(_json_value(idx, pair[0]), _json_value(idx, pair[1]))
 
 
 def parse_json_matrix(text: str) -> np.ndarray:
@@ -117,16 +189,20 @@ def parse_json_matrix(text: str) -> np.ndarray:
         raise ParseError(f'"n" must be a positive integer, got {n!r}')
     if not isinstance(entries, list) or len(entries) != n * n:
         raise ParseError(f'"entries" must hold {n * n} [re, im] pairs')
-    a = np.zeros((n, n), dtype=complex)
-    for idx, pair in enumerate(entries):
-        if (
-            not isinstance(pair, list)
-            or len(pair) != 2
-            or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in pair)
-        ):
-            raise ParseError(f"entry {idx} is not an [re, im] pair: {pair!r}")
-        a[idx // n, idx % n] = complex(_finite(float(pair[0])), _finite(float(pair[1])))
-    return as_matrix(a)
+    # json.loads builds exact list/int/float/bool objects, so type sets are exact
+    values = None
+    if (
+        set(map(type, entries)) == {list}
+        and set(map(len, entries)) == {2}
+        and set(map(type, chain.from_iterable(entries))) <= {int, float}
+    ):
+        values = _all_finite(chain.from_iterable(entries), 2 * len(entries))
+    if values is None:  # name the first bad entry
+        return as_matrix(
+            np.array([_json_entry(idx, pair) for idx, pair in enumerate(entries)]).reshape(n, n)
+        )
+    del obj, entries  # free the parsed objects before as_matrix copies
+    return as_matrix(values.view(complex).reshape(n, n))
 
 
 def load_matrix(path: str, fmt: str | None = None) -> np.ndarray:

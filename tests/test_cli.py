@@ -6,6 +6,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spectral_ellipse import cli
 from spectral_ellipse.ensembles import EnsembleSpec, generate
@@ -119,6 +121,290 @@ class TestJsonParsing:
         p.write_text('{"n": 1, "entries": [[5, 0]]}')
         a = load_matrix(str(p), fmt="json")
         assert a[0, 0] == 5
+
+
+def mtx_text(a, newline="\n"):
+    """The Matrix Market array file perfbench writes: repr floats, column-major."""
+    n = a.shape[0]
+    body = newline.join(f"{z.real!r} {z.imag!r}" for z in a.T.ravel().tolist())
+    return newline.join(["%%MatrixMarket matrix array complex general", f"{n} {n}", body, ""])
+
+
+def json_text(a):
+    """The dense JSON file perfbench writes: repr floats, row-major pairs."""
+    body = ",".join(f"[{z.real!r},{z.imag!r}]" for z in a.ravel().tolist())
+    return f'{{"n": {a.shape[0]}, "entries": [{body}]}}\n'
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+EDGE_TOKENS = (
+    "1_0", "١٢", "nan", "inf", "-inf", "1e400", "1e-400", "0x10", "1d5", "1__0", "_1",
+    "+.5", "5.", ".", "1e", "Infinity", "NaN", "１.５", "½", "1,5", "0b1", "1j", "-0.0",
+    "5e-324", "1.7976931348623157e308", "1.7976931348623159e308", "١.٥", "--1",
+)
+
+
+def float_reference(token):
+    """What the scalar parser made of one data token: its value, or None."""
+    try:
+        value = float(token)
+    except ValueError:
+        return None
+    return value if math.isfinite(value) else None
+
+
+def scalar_mtx(text):
+    """Reference reading of a Matrix Market file with a valid header and
+    token count: one int() or float() per token, one entry at a time."""
+    lines = text.splitlines()
+    fmt, field = (tok.lower() for tok in lines[0].split()[2:4])
+    tokens = [t for line in lines[1:] if not line.strip().startswith("%") for t in line.split()]
+    width = 2 if field == "complex" else 1
+
+    def num(pos):
+        try:
+            value = float(tokens[pos])
+        except ValueError:
+            value = math.nan
+        if not math.isfinite(value):
+            raise ParseError(f"bad numeric token at position {pos}")
+        return value
+
+    def index(pos):
+        try:
+            return int(tokens[pos])
+        except ValueError:
+            raise ParseError("bad size line") from None
+
+    head = 2 if fmt == "array" else 3
+    sizes = [index(k) for k in range(head)]
+    rows, cols = sizes[:2]
+    count = rows * cols * width if fmt == "array" else sizes[2] * (2 + width)
+    if rows != cols:
+        raise NonSquare(f"matrix is {rows} x {cols}")
+    a = np.zeros((rows, cols), dtype=complex)
+    if fmt == "array":
+        for k, pos in enumerate(range(head, head + count, width)):
+            a[k % rows, k // rows] = complex(num(pos), num(pos + 1) if width == 2 else 0.0)
+        return a
+    for pos in range(head, head + count, 2 + width):
+        i, j = index(pos), index(pos + 1)
+        if not (1 <= i <= rows and 1 <= j <= cols):
+            raise ParseError(f"coordinate ({i}, {j}) out of range")
+        a[i - 1, j - 1] += complex(num(pos + 2), num(pos + 3) if width == 2 else 0.0)
+    return a
+
+
+def outcome(parse, text):
+    try:
+        a = parse(text)
+    except (ParseError, NonSquare) as exc:
+        return type(exc).__name__, str(exc)
+    return a.tobytes()
+
+
+def scalar_json(text):
+    """Reference reading of a JSON matrix with valid "n" and entry count:
+    one type check and one float() per value, one entry at a time."""
+    obj = json.loads(text)
+    n = obj["n"]
+    a = np.zeros((n, n), dtype=complex)
+    for idx, pair in enumerate(obj["entries"]):
+        if not (type(pair) is list and len(pair) == 2 and all(type(v) in (int, float) for v in pair)):
+            raise ParseError(f"entry {idx} is not an [re, im] pair: {pair!r}")
+        values = []
+        for v in pair:
+            try:
+                x = float(v)
+            except OverflowError:
+                raise ParseError(f"entry {idx} is out of float range") from None
+            if not math.isfinite(x):
+                raise ParseError(f"non-finite value {x!r} in matrix data")
+            values.append(x)
+        a[idx // n, idx % n] = complex(*values)
+    return a
+
+
+@st.composite
+def json_files(draw):
+    n = draw(st.integers(1, 3))
+    value = st.one_of(
+        st.floats(),
+        st.integers(-(2**70), 2**70),
+        st.sampled_from([10**400, -(10**400), True, False, None, "1", 0, -0.0]),
+    )
+    pair = st.one_of(
+        st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=2, max_size=2),
+        st.lists(value, min_size=2, max_size=2),
+        st.lists(value, min_size=0, max_size=3),
+        value,
+    )
+    return json.dumps({"n": n, "entries": draw(st.lists(pair, min_size=n * n, max_size=n * n))})
+
+
+@st.composite
+def mtx_files(draw):
+    fmt = draw(st.sampled_from(["array", "coordinate"]))
+    field = draw(st.sampled_from(["real", "complex"]))
+    width = 2 if field == "complex" else 1
+    n = draw(st.integers(1, 3))
+    cols = n + draw(st.sampled_from([0, 0, 0, 1]))
+    number = st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False).map(repr),
+        st.sampled_from(EDGE_TOKENS + ("1.0", "1e308", "-1e308")),
+    )
+    index = st.one_of(st.integers(0, n + 1).map(str), st.sampled_from(["١", "+1", "1.0", "x"]))
+    if fmt == "array":
+        tokens = [str(n), str(cols)] + draw(st.lists(number, min_size=n * cols * width, max_size=n * cols * width))
+    else:
+        nnz = draw(st.integers(0, 5))
+        tokens = [str(n), str(cols), str(nnz)]
+        for _ in range(nnz):
+            tokens += [draw(index), draw(index)] + [draw(number) for _ in range(width)]
+    parts = [f"%%MatrixMarket matrix {fmt} {field} general", draw(st.sampled_from(["\n", "\r\n"]))]
+    for tok in tokens:
+        parts.append(tok)
+        parts.append(draw(st.sampled_from(["\n", " ", "\t", "\r\n", "\n% note\n", "\n  %\r\n"])))
+    return "".join(parts)
+
+
+class TestParserParity:
+    @pytest.fixture
+    def edge_matrix(self):
+        rng = np.random.default_rng(3)
+        a = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+        a[0, 0] = complex(-0.0, 0.0)
+        a[1, 2] = complex(5e-324, -5e-324)
+        a[2, 1] = complex(1e308, -1e308)
+        a[3, 3] = complex(-2.2250738585072014e-308, -0.0)
+        a[4, 5] = complex(1.7976931348623157e308, 4.9e-322)
+        return a
+
+    @settings(max_examples=300, deadline=None)
+    @given(mtx_files())
+    def test_matches_scalar_reading(self, text):
+        assert outcome(parse_mtx, text) == outcome(scalar_mtx, text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(json_files())
+    def test_json_matches_scalar_reading(self, text):
+        assert outcome(parse_json_matrix, text) == outcome(scalar_json, text)
+
+    def test_repr_round_trip_is_bit_exact(self, edge_matrix):
+        assert same_bits(parse_mtx(mtx_text(edge_matrix)), edge_matrix)
+        assert same_bits(parse_json_matrix(json_text(edge_matrix)), edge_matrix)
+        assert np.array_equal(parse_mtx(mtx_text(edge_matrix)), edge_matrix)
+
+    def test_random_round_trip_both_formats(self):
+        rng = np.random.default_rng(11)
+        for n in (1, 2, 5, 33):
+            scale = 2.0 ** rng.integers(-1000, 1000, size=(n, n))
+            a = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) * scale
+            for parsed in (parse_mtx(mtx_text(a)), parse_json_matrix(json_text(a))):
+                assert same_bits(parsed, a)
+                assert parsed.flags.c_contiguous and not parsed.flags.writeable
+
+    @pytest.mark.parametrize("token", EDGE_TOKENS)
+    def test_data_token_accepted_iff_float_accepts_it(self, token):
+        ref = float_reference(token)
+        for text in (
+            f"%%MatrixMarket matrix array complex general\n1 1\n{token} 2\n",
+            f"%%MatrixMarket matrix coordinate complex general\n1 1 1\n1 1 2 {token}\n",
+        ):
+            if ref is None:
+                with pytest.raises(ParseError, match="bad numeric token at position"):
+                    parse_mtx(text)
+            else:
+                a = parse_mtx(text)
+                # a coordinate entry is added onto +0, as the scalar parser did
+                value, expected = (a[0, 0].real, ref) if "array" in text else (a[0, 0].imag, 0.0 + ref)
+                assert math.copysign(1.0, value) == math.copysign(1.0, expected)
+                assert value == expected
+
+    @pytest.mark.parametrize(
+        "token", ["1", "+1", "01", "1_0", "١٢", "٣", "１", "1.0", "1e0", "0x1", "²", "-1", "0", "13"]
+    )
+    def test_index_token_accepted_iff_int_accepts_it(self, token):
+        text = f"%%MatrixMarket matrix coordinate real general\n12 12 1\n{token} 1 5\n"
+        try:
+            row = int(token)
+        except ValueError:
+            with pytest.raises(ParseError, match="bad size line"):
+                parse_mtx(text)
+            return
+        if not 1 <= row <= 12:
+            with pytest.raises(ParseError, match=rf"coordinate \({row}, 1\) out of range"):
+                parse_mtx(text)
+            return
+        a = parse_mtx(text)
+        assert a[row - 1, 0] == 5 and np.count_nonzero(a) == 1
+
+    def test_crlf_line_endings(self, edge_matrix):
+        assert same_bits(parse_mtx(mtx_text(edge_matrix, "\r\n")), edge_matrix)
+        assert same_bits(parse_mtx(mtx_text(edge_matrix, "\r")), edge_matrix)
+        text = "%%MatrixMarket matrix coordinate real general\r\n2 2 1\r\n2 1 7\r\n"
+        assert parse_mtx(text)[1, 0] == 7
+
+    def test_comment_lines_in_the_middle_of_data(self):
+        text = (
+            "%%MatrixMarket matrix array real general\r\n% size next\r\n2 2\n1\n"
+            "%  mid-data comment\n   % indented comment\n3\n\n2\r\n%\n4\n"
+        )
+        assert np.array_equal(parse_mtx(text), np.array([[1, 2], [3, 4]], dtype=complex))
+
+    def test_percent_inside_a_data_line_is_a_bad_token(self):
+        text = "%%MatrixMarket matrix array real general\n1 1\n5 %not-a-comment\n"
+        with pytest.raises(ParseError, match="expected 1 data tokens, got 2"):
+            parse_mtx(text)
+        text = "%%MatrixMarket matrix array real general\n1 1\n5%\n"
+        with pytest.raises(ParseError, match="bad numeric token at position 2"):
+            parse_mtx(text)
+
+    def test_mtx_errors_name_the_first_bad_token(self):
+        body = ["1", "2", "x", "4", "nan", "6", "7", "8"]
+        text = "%%MatrixMarket matrix array complex general\n2 2\n" + "\n".join(body) + "\n"
+        with pytest.raises(ParseError, match=r"^bad numeric token at position 4$"):
+            parse_mtx(text)
+        body[2] = "3"
+        text = "%%MatrixMarket matrix array complex general\n2 2\n" + "\n".join(body) + "\n"
+        with pytest.raises(ParseError, match=r"^bad numeric token at position 6$"):
+            parse_mtx(text)
+
+    def test_coordinate_errors_follow_file_order(self):
+        head = "%%MatrixMarket matrix coordinate real general\n3 3 3\n"
+        with pytest.raises(ParseError, match=r"^bad numeric token at position 5$"):
+            parse_mtx(head + "1 1 inf\n4 1 1\nx 1 1\n")
+        with pytest.raises(ParseError, match=r"^coordinate \(4, 1\) out of range$"):
+            parse_mtx(head + "1 1 1\n4 1 1\nx 1 1\n")
+        with pytest.raises(ParseError, match=r"^bad size line$"):
+            parse_mtx(head + "1 1 1\n1 1.0 1\n4 1 1\n")
+
+    def test_coordinate_duplicates_overflowing_is_a_parse_error(self):
+        text = "%%MatrixMarket matrix coordinate real general\n1 1 2\n1 1 1e308\n1 1 1e308\n"
+        with pytest.raises(ParseError, match="non-finite"):
+            parse_mtx(text)
+
+    def test_json_errors_name_the_first_bad_entry(self):
+        cases = [
+            ('[[1, 0], [true, 0], [1, 0], [1, 0]]', r"^entry 1 is not an \[re, im\] pair: \[True, 0\]$"),
+            ('[[1, 0], [1, 0], [1, "2"], [1]]', r"^entry 2 is not an \[re, im\] pair: \[1, '2'\]$"),
+            ('[[1, 0], [1, 0], [1, 0], [1, 0, 0]]', r"^entry 3 is not an \[re, im\] pair"),
+            ('[[1, 0], [1, NaN], [1, null], [1, 0]]', r"^non-finite value nan in matrix data$"),
+            ('[[1, 0], [1, 0], [1e400, 0], [2]]', r"^non-finite value inf in matrix data$"),
+            ('[[1, 0], [1, 0], [1, 0], [1, 1' + "0" * 400 + ']]', r"^entry 3 is out of float range$"),
+        ]
+        for entries, message in cases:
+            with pytest.raises(ParseError, match=message):
+                parse_json_matrix(f'{{"n": 2, "entries": {entries}}}')
+
+    def test_json_ints_convert_as_float_does(self):
+        big = [2**53 + 1, -(2**64) - 1, 10**300 + 7, 0]
+        text = json.dumps({"n": 2, "entries": [[v, -v] for v in big]})
+        expected = np.array([complex(float(v), float(-v)) for v in big]).reshape(2, 2)
+        assert same_bits(parse_json_matrix(text), expected)
 
 
 class TestCanonicalJson:
@@ -291,6 +577,29 @@ class TestVerify:
         assert all(row.endswith("MomentMismatch") for row in rows)
         assert all(row.split(",")[2] == "" for row in rows)
 
+    def test_non_convergence_rows_recorded_and_skipped(self, tmp_path, capsys, monkeypatch):
+        args = ["verify", "--ensemble", "Ginibre", "-n", "4", "--trials", "3", "--seed", "42", "--csv"]
+        assert cli.main(args + [str(tmp_path / "clean.csv")]) == 0
+        clean = (tmp_path / "clean.csv").read_text().splitlines()
+        capsys.readouterr()
+
+        real_find_roots = cli.sp.find_roots
+        calls = []
+
+        def second_call_stalls(*a, **k):
+            calls.append(1)
+            if len(calls) == 2:
+                raise NonConvergence("stuck", (1.0,))
+            return real_find_roots(*a, **k)
+
+        monkeypatch.setattr(cli.sp, "find_roots", second_call_stalls)
+        assert cli.main(args + [str(tmp_path / "stalled.csv")]) == 0
+        summary = capsys.readouterr().out
+        assert summary.startswith("2/2 contained, 0 moment-mismatch skipped, 1 non-convergence skipped,")
+        rows = (tmp_path / "stalled.csv").read_text().splitlines()
+        assert rows[2] == f"{clean[2].split(',')[0]},4,,,,,,NonConvergence"
+        assert rows[:2] + rows[3:] == clean[:2] + clean[3:]
+
     def test_csv_to_stdout_without_path(self, capsys):
         rc = cli.main(["verify", "--ensemble", "Nilpotent", "-n", "3", "--trials", "2", "--seed", "5"])
         assert rc == 0
@@ -329,6 +638,25 @@ class TestVerify:
         )
         assert rc != 0
         assert "Violated" in csv_path.read_text()
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--ensemble", "Ginibre", "-n", "1"],
+            ["verify", "--ensemble", "Ginibre", "-n", "4", "--sweep-k", "2"],
+            ["tightness", "1"],
+        ],
+        ids=["verify-n", "verify-sweep-k", "tightness"],
+    )
+    def test_bad_value_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and "must be >=" in err
+        assert "Traceback" not in err
 
 
 class TestTightness:
