@@ -138,8 +138,7 @@ def run_trial(kind: str, n: int, trial_seed: int, settings: PipelineSettings) ->
     try:
         spectrum = sp.eigenvalues(a, settings.moment_tol)
     except (MomentMismatch, NonConvergence) as exc:
-        verdict = "NonConvergence" if isinstance(exc, NonConvergence) else "MomentMismatch"
-        return TrialRecord(trial_seed, n, None, None, None, None, None, verdict)
+        return TrialRecord(trial_seed, n, None, None, None, None, None, type(exc).__name__)
     d = mx.decompose(a)
     shifted = tuple(v - d.gamma for v in spectrum.values)
     q0 = sum(v * v for v in shifted)

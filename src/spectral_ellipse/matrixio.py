@@ -1,9 +1,10 @@
 """Matrix ingestion: Matrix Market (array/coordinate, real/complex, general)
 and dense JSON ({"n": ..., "entries": [[re, im], ...]} row-major).
 
-Numeric tokens follow Python `float()` syntax and must be finite.  Each
-format is converted in one numpy pass; the per-token checks run only when
-that pass fails, to name the first offending token or entry.
+Numeric tokens follow Python `float()` syntax and must be finite.  Matrix
+Market `array` data and JSON entries are converted in one numpy pass; the
+per-token checks run only when that pass fails, to name the first offending
+token or entry.  `coordinate` entries are read one at a time.
 """
 
 from __future__ import annotations
@@ -58,30 +59,6 @@ def _tokens(text: str, first: str) -> list[str]:
         if line and not line.startswith("%"):
             tokens.extend(line.split())
     return tokens
-
-
-def _coordinates(tokens: list[str], n: int, nnz: int, width: int):
-    """0-based row indices, column indices and complex values of the
-    coordinate entries after the size line, or None if an index is not an
-    int in 1..n or a value is bad."""
-    stride = 2 + width
-
-    def column(k):
-        return islice(tokens, k, None, stride)
-
-    try:
-        i, j = list(map(int, column(3))), list(map(int, column(4)))
-    except ValueError:
-        return None
-    if nnz and not (min(i) >= 1 and min(j) >= 1 and max(i) <= n and max(j) <= n):
-        return None
-    real = _all_finite(column(5), nnz)
-    imag = _all_finite(column(6), nnz) if width == 2 else np.zeros(nnz)
-    if real is None or imag is None:
-        return None
-    values = np.empty(nnz, dtype=complex)
-    values.real, values.imag = real, imag
-    return np.array(i, dtype=np.intp) - 1, np.array(j, dtype=np.intp) - 1, values
 
 
 def parse_mtx(text: str) -> np.ndarray:
@@ -142,20 +119,16 @@ def parse_mtx(text: str) -> np.ndarray:
     if rows != cols:
         raise NonSquare(f"matrix is {rows} x {cols}")
     a = np.zeros((rows, cols), dtype=complex)
-    entries = _coordinates(tokens, rows, nnz, width)
-    if entries is not None:
-        with np.errstate(over="ignore", invalid="ignore"):
-            np.add.at(a, entries[:2], entries[2])  # in file order: duplicates accumulate
-        if not np.isfinite(a).all():
-            raise ParseError("duplicate coordinate entries sum to a non-finite value")
-        return as_matrix(a)
-    for pos in range(3, expected, stride):  # name the first bad entry
-        i, j = take_int(pos), take_int(pos + 1)
-        if not (1 <= i <= rows and 1 <= j <= cols):
-            raise ParseError(f"coordinate ({i}, {j}) out of range")
-        real = take_float(pos + 2)
-        imag = take_float(pos + 3) if width == 2 else 0.0
-        a[i - 1, j - 1] += complex(real, imag)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        for pos in range(3, expected, stride):
+            i, j = take_int(pos), take_int(pos + 1)
+            if not (1 <= i <= rows and 1 <= j <= cols):
+                raise ParseError(f"coordinate ({i}, {j}) out of range")
+            real = take_float(pos + 2)
+            imag = take_float(pos + 3) if width == 2 else 0.0
+            a[i - 1, j - 1] += complex(real, imag)  # duplicates accumulate
+    if not np.isfinite(a).all():
+        raise ParseError("duplicate coordinate entries sum to a non-finite value")
     return as_matrix(a)
 
 
