@@ -12,7 +12,7 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
 
-from spectral_ellipse.cli import PipelineSettings, analyze_matrix
+from spectral_ellipse.cli import analysis_report, analyze
 from spectral_ellipse.ensembles import KINDS, EnsembleSpec, generate
 from spectral_ellipse.report import canonical_json
 from spectral_ellipse.svgplot import render_svg
@@ -28,16 +28,15 @@ def main() -> int:
     os.makedirs(args.out, exist_ok=True)
     for kind in KINDS:
         a = generate(EnsembleSpec(kind=kind, n=args.dimension, seed=args.seed))
-        report, artifacts = analyze_matrix(a, PipelineSettings())
+        an = analyze(a)
         stem = os.path.join(args.out, f"{kind.lower()}_n{args.dimension}")
         with open(stem + ".svg", "w", encoding="utf-8") as fh:
-            fh.write(render_svg(artifacts.spectrum.values, artifacts.hull, artifacts.ellipse))
+            fh.write(render_svg(an))
         with open(stem + ".json", "w", encoding="utf-8") as fh:
-            fh.write(canonical_json(report))
-        c = report["containment"]
-        e = report["ellipse"]
-        print(f"{kind:>20}: verdict {c['verdict']:>9}, a = {e['semimajor']:.4f}, "
-              f"b = {e['semiminor']:.4f}, margin = {c['min_margin']:.3e} -> {stem}.svg")
+            fh.write(canonical_json(analysis_report(an)))
+        c, e = an.containment, an.ellipse
+        print(f"{kind:>20}: verdict {c.verdict:>9}, a = {e.semimajor:.4f}, "
+              f"b = {e.semiminor:.4f}, margin = {c.min_margin:.3e} -> {stem}.svg")
     return 0
 
 

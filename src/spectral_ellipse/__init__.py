@@ -7,100 +7,4 @@ containment independently; and derives eigensolver-free spectral radius
 lower bounds from tr A and tr A^2 alone.
 """
 
-from .ellipse import (
-    AxisSums,
-    Direction,
-    DimensionTooSmall,
-    InconsistentMoments,
-    NormalizedSpectrum,
-    SpectralEllipse,
-    ZeroDirection,
-    axis_sums,
-    ellipse_from_normalized,
-    inscribed_ellipse,
-    normalize_mu,
-    shifted_ellipse,
-    subset_ellipse,
-    support,
-    trace_only_bound,
-)
-from .ensembles import CounterRng, EnsembleSpec, UnsupportedDimension, counter_value, generate, reference_spectrum
-from .hull import (
-    CONTAINED,
-    DEGENERATE,
-    VIOLATED,
-    ContainmentReport,
-    HullPolygon,
-    contains_ellipse,
-    convex_hull,
-    directional_margin,
-    sweep_margins,
-)
-from .matrix import (
-    Decomposition,
-    SingularTransform,
-    as_matrix,
-    char_poly,
-    decompose,
-    q_form,
-    similarity,
-    trace,
-)
-from .matrixio import NonSquare, ParseError, load_matrix
-from .numerics import NonConvergence, Polynomial, evaluate, find_roots, principal_sqrt
-from .spectrum import MomentMismatch, Spectrum, eigenvalues, moment
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "AxisSums",
-    "CONTAINED",
-    "ContainmentReport",
-    "CounterRng",
-    "DEGENERATE",
-    "Decomposition",
-    "DimensionTooSmall",
-    "Direction",
-    "EnsembleSpec",
-    "HullPolygon",
-    "InconsistentMoments",
-    "MomentMismatch",
-    "NonConvergence",
-    "NonSquare",
-    "NormalizedSpectrum",
-    "ParseError",
-    "Polynomial",
-    "SingularTransform",
-    "SpectralEllipse",
-    "Spectrum",
-    "UnsupportedDimension",
-    "VIOLATED",
-    "ZeroDirection",
-    "as_matrix",
-    "axis_sums",
-    "char_poly",
-    "contains_ellipse",
-    "convex_hull",
-    "counter_value",
-    "decompose",
-    "directional_margin",
-    "eigenvalues",
-    "ellipse_from_normalized",
-    "evaluate",
-    "find_roots",
-    "generate",
-    "inscribed_ellipse",
-    "load_matrix",
-    "moment",
-    "normalize_mu",
-    "principal_sqrt",
-    "q_form",
-    "reference_spectrum",
-    "shifted_ellipse",
-    "similarity",
-    "subset_ellipse",
-    "support",
-    "sweep_margins",
-    "trace",
-    "trace_only_bound",
-]

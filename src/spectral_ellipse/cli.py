@@ -45,63 +45,68 @@ class PipelineSettings:
 
 
 @dataclass(frozen=True)
-class AnalysisArtifacts:
+class Analysis:
+    """Everything the pipeline computes for one matrix, each part once.  The
+    last four are None when n = 1, where there is no ellipse."""
+
+    decomposition: mx.Decomposition
     spectrum: sp.Spectrum
     hull: hl.HullPolygon
+    normalized: el.NormalizedSpectrum | None
     ellipse: el.SpectralEllipse | None
+    containment: hl.ContainmentReport | None
+    bound: float | None
 
 
-def analyze_matrix(a, settings: PipelineSettings = PipelineSettings()):
-    """Full pipeline: decompose, eigensolve, shifted ellipse, hull,
-    containment, trace-only bound.  Returns (report dict, artifacts)."""
+def analyze(a, settings: PipelineSettings = PipelineSettings()) -> Analysis:
+    """The pipeline: decompose, eigensolve, hull; then normalize the spectrum
+    shifted by gamma, build the ellipse centered at gamma, certify
+    containment, and take the trace-only bound."""
     n = a.shape[0]
     d = mx.decompose(a)
     spectrum = sp.eigenvalues(a, settings.moment_tol)
-    observed = max(abs(v) for v in spectrum.values)
     hull = hl.convex_hull(spectrum.values)
+    if n < 2:
+        return Analysis(d, spectrum, hull, None, None, None, None)
+    shifted = tuple(v - d.gamma for v in spectrum.values)
+    ns = el.normalize_mu(shifted, sum(v * v for v in shifted))
+    shape = el.ellipse_from_normalized(ns, n, center=d.gamma)
+    containment = hl.contains_ellipse(hull, shape, settings.slack(spectrum.values))
+    bound = el.trace_only_bound(mx.trace(a), d.q_total, n)
+    return Analysis(d, spectrum, hull, ns, shape, containment, bound)
 
+
+def analysis_report(an: Analysis) -> dict:
+    """The JSON report of `analyze`."""
+    d, shape, containment = an.decomposition, an.ellipse, an.containment
     report = {
         "schema": SCHEMA,
-        "n": n,
+        "n": d.n,
         "gamma": complex_obj(d.gamma),
         "q_total": complex_obj(d.q_total),
         "q_traceless": complex_obj(d.q_traceless),
-        "eigenvalues": [complex_obj(v) for v in spectrum.values],
+        "eigenvalues": [complex_obj(v) for v in an.spectrum.values],
+        "ellipse": None if shape is None else {
+            "center": complex_obj(shape.center),
+            "semimajor": shape.semimajor,
+            "semiminor": shape.semiminor,
+            "major_dir_angle_rad": math.atan2(shape.major_dir.imag, shape.major_dir.real),
+            "foci": [complex_obj(f) for f in shape.foci],
+        },
+        "hull_vertices": [complex_obj(v) for v in an.hull.vertices],
+        "containment": None if containment is None else {
+            "verdict": containment.verdict,
+            "min_margin": containment.min_margin,
+            "worst_direction_angle_rad": containment.worst_direction.angle(),
+        },
+        "bounds": {
+            "trace_only_lower": an.bound,
+            "observed_spectral_radius": max(abs(v) for v in an.spectrum.values),
+        },
     }
-
-    if n < 2:
-        report["ellipse"] = None
-        report["hull_vertices"] = [complex_obj(v) for v in hull.vertices]
-        report["containment"] = None
-        report["bounds"] = {
-            "trace_only_lower": None,
-            "observed_spectral_radius": observed,
-        }
+    if shape is None:
         report["note"] = "dimension < 2"
-        return report, AnalysisArtifacts(spectrum, hull, None)
-
-    shape = el.shifted_ellipse(d, spectrum)
-    containment = hl.contains_ellipse(hull, shape, settings.slack(spectrum.values))
-    lower = el.trace_only_bound(mx.trace(a), d.q_total, n)
-
-    report["ellipse"] = {
-        "center": complex_obj(shape.center),
-        "semimajor": shape.semimajor,
-        "semiminor": shape.semiminor,
-        "major_dir_angle_rad": math.atan2(shape.major_dir.imag, shape.major_dir.real),
-        "foci": [complex_obj(f) for f in shape.foci],
-    }
-    report["hull_vertices"] = [complex_obj(v) for v in hull.vertices]
-    report["containment"] = {
-        "verdict": containment.verdict,
-        "min_margin": containment.min_margin,
-        "worst_direction_angle_rad": containment.worst_direction.angle(),
-    }
-    report["bounds"] = {
-        "trace_only_lower": lower,
-        "observed_spectral_radius": observed,
-    }
-    return report, AnalysisArtifacts(spectrum, hull, shape)
+    return report
 
 
 @dataclass(frozen=True)
@@ -131,39 +136,31 @@ class TrialRecord:
 
 
 def run_trial(kind: str, n: int, trial_seed: int, settings: PipelineSettings) -> TrialRecord:
-    """One verification trial: generate, eigensolve, build the ellipse from
-    the normalized spectrum, certify containment, and sweep the directional
-    oracle.  MomentMismatch and NonConvergence are recorded, not raised."""
+    """One verification trial: generate, analyze, and sweep the directional
+    oracle over the normalized spectrum.  MomentMismatch and NonConvergence
+    are recorded, not raised."""
     a = generate(EnsembleSpec(kind=kind, n=n, seed=trial_seed))
     try:
-        spectrum = sp.eigenvalues(a, settings.moment_tol)
+        an = analyze(a, settings)
     except (MomentMismatch, NonConvergence) as exc:
         return TrialRecord(trial_seed, n, None, None, None, None, None, type(exc).__name__)
-    d = mx.decompose(a)
-    shifted = tuple(v - d.gamma for v in spectrum.values)
-    q0 = sum(v * v for v in shifted)
-    ns = el.normalize_mu(shifted, q0)
-    ax = el.axis_sums(ns)
-    shape = el.ellipse_from_normalized(ns, n, center=d.gamma)
-    hull = hl.convex_hull(spectrum.values)
-    containment = hl.contains_ellipse(hull, shape, settings.slack(spectrum.values))
-    sweep = hl.sweep_margins(ns, ax, n, settings.sweep_k)
+    ns = an.normalized
+    sweep = hl.sweep_margins(ns, el.axis_sums(ns), n, settings.sweep_k)
     return TrialRecord(
         seed=trial_seed,
         n=n,
         q_abs=ns.q_abs,
-        semimajor=shape.semimajor,
-        semiminor=shape.semiminor,
-        min_margin=containment.min_margin,
+        semimajor=an.ellipse.semimajor,
+        semiminor=an.ellipse.semiminor,
+        min_margin=an.containment.min_margin,
         sweep_min=min(sweep),
-        verdict=containment.verdict,
+        verdict=an.containment.verdict,
     )
 
 
 def run_verify(kind: str, n: int, trials: int, seed: int, settings: PipelineSettings):
     """Seeded campaign; trial t uses the derived seed counter_value(seed, t)."""
-    records = [run_trial(kind, n, counter_value(seed, t), settings) for t in range(trials)]
-    return records
+    return [run_trial(kind, n, counter_value(seed, t), settings) for t in range(trials)]
 
 
 def _summarize(records) -> str:
@@ -290,14 +287,14 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_analyze(args) -> int:
     a = load_matrix(args.path, args.format)
     settings = PipelineSettings(moment_tol=args.tol, slack_scale=args.slack)
-    report, artifacts = analyze_matrix(a, settings)
-    text = canonical_json(report)
+    an = analyze(a, settings)
+    text = canonical_json(analysis_report(an))
     sys.stdout.write(text)
     if args.json_path:
         with open(args.json_path, "w", encoding="utf-8") as fh:
             fh.write(text)
     if args.svg_path:
-        svg = render_svg(artifacts.spectrum.values, artifacts.hull, artifacts.ellipse)
+        svg = render_svg(an)
         with open(args.svg_path, "w", encoding="utf-8") as fh:
             fh.write(svg)
     return EXIT_OK

@@ -123,14 +123,6 @@ def _dot(u: complex, v: complex) -> float:
     return u.real * v.real + u.imag * v.imag
 
 
-def hull_support(h: HullPolygon, d: Direction) -> float:
-    """Support function of the hull polygon: max over vertices of the dot product."""
-    if d.alpha == 0.0 and d.beta == 0.0:
-        raise ZeroDirection("direction (0, 0) has no support value")
-    u = complex(d.alpha, d.beta)
-    return max(_dot(u, v) for v in h.vertices)
-
-
 def contains_ellipse(h: HullPolygon, e: SpectralEllipse, slack: float) -> ContainmentReport:
     """Certify that the ellipse lies inside the hull, up to slack.
 

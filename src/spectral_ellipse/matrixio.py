@@ -118,7 +118,10 @@ def parse_mtx(text: str) -> np.ndarray:
         raise ParseError(f"expected {expected - 3} entry tokens, got {len(tokens) - 3}")
     if rows != cols:
         raise NonSquare(f"matrix is {rows} x {cols}")
-    a = np.zeros((rows, cols), dtype=complex)
+    try:
+        a = np.zeros((rows, cols), dtype=complex)
+    except (ValueError, MemoryError) as exc:  # declared size beyond what fits
+        raise ParseError(f"cannot allocate a {rows} x {cols} matrix") from exc
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         for pos in range(3, expected, stride):
             i, j = take_int(pos), take_int(pos + 1)

@@ -1,4 +1,5 @@
-"""SVG rendering of a spectrum, its convex hull, and the inscribed ellipse.
+"""SVG rendering of an analysis: the spectrum, its convex hull, and the
+inscribed ellipse.
 
 Fixed 800x800 viewport, equal x/y scale, 5% padding around the hull bounding
 box.  The ellipse is drawn as two arc segments between its major vertices so
@@ -8,9 +9,10 @@ degenerate (flat) ellipses render as their segment.
 from __future__ import annotations
 
 import math
+from typing import TYPE_CHECKING
 
-from .ellipse import SpectralEllipse
-from .hull import HullPolygon
+if TYPE_CHECKING:
+    from .cli import Analysis
 
 VIEW = 800.0
 PAD_FRACTION = 0.05
@@ -25,7 +27,8 @@ def _fmt(v: float) -> str:
     return format(v, ".4f")
 
 
-def render_svg(points, hull: HullPolygon, e: SpectralEllipse | None) -> str:
+def render_svg(an: Analysis) -> str:
+    hull, e = an.hull, an.ellipse
     xs = [v.real for v in hull.vertices]
     ys = [v.imag for v in hull.vertices]
     cx = (max(xs) + min(xs)) / 2.0
@@ -58,8 +61,8 @@ def render_svg(points, hull: HullPolygon, e: SpectralEllipse | None) -> str:
         x0, y0 = verts[0]
         parts.append(f'<circle cx="{_fmt(x0)}" cy="{_fmt(y0)}" r="4" {_HULL_STYLE}/>')
 
-    for p in points:
-        x, y = to_svg(complex(p))
+    for p in an.spectrum.values:
+        x, y = to_svg(p)
         parts.append(f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="3" {_POINT_STYLE}/>')
 
     if e is not None:

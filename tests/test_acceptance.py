@@ -50,10 +50,10 @@ class Trial:
     n: int
     seed: int
     frob: float
-    q_total: complex
-    q_traceless: complex
-    dec1_residual: float
     mismatch: bool
+    q_total: complex = 0j
+    q_traceless: complex = 0j
+    dec1_residual: float = 0.0
     sum_residual: float = 0.0
     q_residual: float = 0.0
     rho: float = 0.0
@@ -69,45 +69,33 @@ class Trial:
 
 def run_campaign_trial(kind: str, n: int, seed: int) -> Trial:
     a = generate(EnsembleSpec(kind=kind, n=n, seed=seed))
-    d = mx.decompose(a)
     frob = mx.frobenius(a)
-    dec1 = abs(d.q_total - (n * d.gamma**2 + d.q_traceless))
     try:
-        spectrum = sp.eigenvalues(a)
+        an = cli.analyze(a)
     except sp.MomentMismatch:
-        return Trial(
-            kind=kind, n=n, seed=seed, frob=frob, q_total=d.q_total,
-            q_traceless=d.q_traceless, dec1_residual=dec1, mismatch=True,
-        )
-    shifted = tuple(v - d.gamma for v in spectrum.values)
-    q0 = sum(v * v for v in shifted)
-    ns = el.normalize_mu(shifted, q0)
-    ax = el.axis_sums(ns)
-    shape = el.ellipse_from_normalized(ns, n, center=d.gamma)
-    hull = hl.convex_hull(spectrum.values)
-    slack = 1e-8 * (1.0 + max(abs(v) for v in spectrum.values))
-    containment = hl.contains_ellipse(hull, shape, slack)
-    sweep = hl.sweep_margins(ns, ax, n, SWEEP_K)
+        return Trial(kind=kind, n=n, seed=seed, frob=frob, mismatch=True)
+    d, spectrum, ns = an.decomposition, an.spectrum, an.normalized
+    sweep = hl.sweep_margins(ns, el.axis_sums(ns), n, SWEEP_K)
     return Trial(
         kind=kind,
         n=n,
         seed=seed,
         frob=frob,
+        mismatch=False,
         q_total=d.q_total,
         q_traceless=d.q_traceless,
-        dec1_residual=dec1,
-        mismatch=False,
+        dec1_residual=abs(d.q_total - (n * d.gamma**2 + d.q_traceless)),
         sum_residual=spectrum.sum_residual,
         q_residual=spectrum.q_residual,
         rho=max(abs(v) for v in spectrum.values),
-        shifted_power=sum(abs(v) ** 2 for v in shifted),
+        shifted_power=sum(abs(v - d.gamma) ** 2 for v in spectrum.values),
         max_mu=max(abs(v) for v in ns.mu),
-        semimajor=shape.semimajor,
-        semiminor=shape.semiminor,
-        verdict=containment.verdict,
-        min_margin=containment.min_margin,
+        semimajor=an.ellipse.semimajor,
+        semiminor=an.ellipse.semiminor,
+        verdict=an.containment.verdict,
+        min_margin=an.containment.min_margin,
         sweep_min=min(sweep),
-        bound=el.trace_only_bound(mx.trace(a), d.q_total, n),
+        bound=an.bound,
     )
 
 
@@ -152,15 +140,10 @@ def test_criterion_2_two_by_two_tightness():
     failures = []
     for t in range(500):
         seed = counter_value(CAMPAIGN_SEED + 1, t)
-        a = generate(EnsembleSpec(kind="Ginibre", n=2, seed=seed))
-        d = mx.decompose(a)
-        spectrum = sp.eigenvalues(a)
-        shape = el.shifted_ellipse(d, spectrum)
-        hull = hl.convex_hull(spectrum.values)
-        slack = 1e-8 * (1.0 + max(abs(v) for v in spectrum.values))
-        containment = hl.contains_ellipse(hull, shape, slack)
-        scale = 1e-9 * (1.0 + max(abs(v) for v in spectrum.values))
-        remaining = list(spectrum.values)
+        an = cli.analyze(generate(EnsembleSpec(kind="Ginibre", n=2, seed=seed)))
+        values, shape, containment = an.spectrum.values, an.ellipse, an.containment
+        scale = 1e-9 * (1.0 + max(abs(v) for v in values))
+        remaining = list(values)
         worst = 0.0
         for f in shape.foci:
             j = min(range(len(remaining)), key=lambda i: abs(f - remaining[i]))
@@ -239,18 +222,13 @@ def test_criterion_5_similarity_invariance():
         if abs(qb - qa) > 1e-9 * (1.0 + abs(qa)):
             failures.append(f"t={t}: q_form drift {abs(qb - qa):.3e}")
             continue
-        ra, _ = cli.analyze_matrix(mx.as_matrix(a))
-        rb, _ = cli.analyze_matrix(mx.as_matrix(b))
-        ea, eb = ra["ellipse"], rb["ellipse"]
-        ca = complex(ea["center"]["re"], ea["center"]["im"])
-        cb = complex(eb["center"]["re"], eb["center"]["im"])
-        da = complex(math.cos(ea["major_dir_angle_rad"]), math.sin(ea["major_dir_angle_rad"]))
-        db = complex(math.cos(eb["major_dir_angle_rad"]), math.sin(eb["major_dir_angle_rad"]))
+        ea = cli.analyze(mx.as_matrix(a)).ellipse
+        eb = cli.analyze(mx.as_matrix(b)).ellipse
         deviations = (
-            abs(ca - cb),
-            abs(ea["semimajor"] - eb["semimajor"]),
-            abs(ea["semiminor"] - eb["semiminor"]),
-            abs(da - db),
+            abs(ea.center - eb.center),
+            abs(ea.semimajor - eb.semimajor),
+            abs(ea.semiminor - eb.semiminor),
+            abs(ea.major_dir - eb.major_dir),
         )
         if max(deviations) > 1e-6:
             failures.append(f"t={t} n={n}: ellipse deviation {max(deviations):.3e}")

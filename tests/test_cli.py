@@ -386,6 +386,18 @@ class TestParserParity:
         with pytest.raises(ParseError, match="non-finite"):
             parse_mtx(text)
 
+    def test_coordinate_size_beyond_memory_is_a_parse_error(self, tmp_path, capsys):
+        # 10^12 x 10^12 complex does not fit the address space; a size that
+        # does fit but cannot be backed fails the same way, and is not tried
+        p = tmp_path / "huge.mtx"
+        p.write_text("%%MatrixMarket matrix coordinate real general\n1000000000000 1000000000000 0\n")
+        with pytest.raises(ParseError, match=r"^cannot allocate a 1000000000000 x 1000000000000 matrix$"):
+            parse_mtx(p.read_text())
+        assert cli.main(["bound", str(p)]) == cli.EXIT_PARSE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "parse error: cannot allocate a 1000000000000 x 1000000000000 matrix\n"
+
     def test_json_errors_name_the_first_bad_entry(self):
         cases = [
             ('[[1, 0], [true, 0], [1, 0], [1, 0]]', r"^entry 1 is not an \[re, im\] pair: \[True, 0\]$"),

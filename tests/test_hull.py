@@ -22,7 +22,6 @@ from spectral_ellipse.hull import (
     contains_ellipse,
     convex_hull,
     directional_margin,
-    hull_support,
     sweep_margins,
 )
 from spectral_ellipse.matrix import as_matrix, decompose
@@ -93,13 +92,6 @@ class TestConvexHull:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             convex_hull(())
-
-    def test_hull_support(self):
-        h = convex_hull((1, 1j, -1, -1j))
-        assert hull_support(h, Direction(1, 0)) == 1
-        assert abs(hull_support(h, Direction(1, 1)) - 1) < 1e-15
-        with pytest.raises(ZeroDirection):
-            hull_support(h, Direction(0, 0))
 
 
 class TestContainsEllipse:
