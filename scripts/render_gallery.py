@@ -24,6 +24,8 @@ def main() -> int:
     parser.add_argument("-n", "--dimension", type=int, default=8)
     parser.add_argument("--seed", type=int, default=2024)
     args = parser.parse_args()
+    if args.dimension < 2:
+        parser.error(f"-n must be >= 2 (an ellipse needs two eigenvalues), got {args.dimension}")
 
     os.makedirs(args.out, exist_ok=True)
     for kind in KINDS:

@@ -2,7 +2,9 @@
 campaigns, print the tightness table, and compute eigensolver-free bounds.
 
 Exit codes: 0 success, 1 ParseError, 2 NonSquare, 3 NonConvergence,
-4 MomentMismatch.  `verify` exits 0 iff its CSV contains no Violated row.
+4 MomentMismatch, 5 NonFinite (numeric overflow: a quantity derived from
+the input left the float range).  `verify` exits 0 iff its CSV contains no
+Violated row.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from . import matrix as mx
 from . import spectrum as sp
 from .ensembles import KINDS, EnsembleSpec, counter_value, generate
 from .matrixio import NonSquare, ParseError, load_matrix
-from .numerics import NonConvergence, principal_sqrt
+from .numerics import NonConvergence, NonFinite, principal_sqrt
 from .report import SCHEMA, canonical_json, complex_obj, csv_row, fmt_float
 from .spectrum import MomentMismatch
 from .svgplot import render_svg
@@ -28,6 +30,7 @@ EXIT_PARSE = 1
 EXIT_NONSQUARE = 2
 EXIT_NONCONVERGENCE = 3
 EXIT_MOMENT = 4
+EXIT_OVERFLOW = 5
 
 CSV_HEADER = "seed,n,q_abs,a,b,min_margin,sweep_min,verdict"
 
@@ -68,8 +71,7 @@ def analyze(a, settings: PipelineSettings = PipelineSettings()) -> Analysis:
     hull = hl.convex_hull(spectrum.values)
     if n < 2:
         return Analysis(d, spectrum, hull, None, None, None, None)
-    shifted = tuple(v - d.gamma for v in spectrum.values)
-    ns = el.normalize_mu(shifted, sum(v * v for v in shifted))
+    ns = el.normalize_mu(v - d.gamma for v in spectrum.values)
     shape = el.ellipse_from_normalized(ns, n, center=d.gamma)
     containment = hl.contains_ellipse(hull, shape, settings.slack(spectrum.values))
     bound = el.trace_only_bound(mx.trace(a), d.q_total, n)
@@ -97,7 +99,9 @@ def analysis_report(an: Analysis) -> dict:
         "containment": None if containment is None else {
             "verdict": containment.verdict,
             "min_margin": containment.min_margin,
-            "worst_direction_angle_rad": containment.worst_direction.angle(),
+            "worst_direction_angle_rad": math.atan2(
+                containment.worst_direction.imag, containment.worst_direction.real
+            ),
         },
         "bounds": {
             "trace_only_lower": an.bound,
@@ -356,6 +360,9 @@ def main(argv=None) -> int:
     except MomentMismatch as exc:
         sys.stderr.write(f"moment validation failed: {exc}\n")
         return EXIT_MOMENT
+    except NonFinite as exc:
+        sys.stderr.write(f"numeric overflow: {exc}\n")
+        return EXIT_OVERFLOW
 
 
 if __name__ == "__main__":

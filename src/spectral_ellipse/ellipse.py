@@ -23,19 +23,14 @@ from .numerics import principal_sqrt
 from .spectrum import Spectrum
 
 Q_ZERO_REL_THRESHOLD = 1e-12
-MOMENT_CONSISTENCY_REL = 1e-8
 
 
 class DimensionTooSmall(ValueError):
     """Ellipse construction needs n >= 2; the 1/(n-1) factor vanishes below."""
 
 
-class InconsistentMoments(ValueError):
-    """Supplied q0 does not match the second power sum of the multiset."""
-
-
 class ZeroDirection(ValueError):
-    """A direction must have alpha^2 + beta^2 > 0."""
+    """A direction must be a nonzero complex number."""
 
 
 @dataclass(frozen=True)
@@ -56,17 +51,6 @@ class AxisSums:
 
 
 @dataclass(frozen=True)
-class Direction:
-    """Real direction (alpha, beta) in the plane; not both zero."""
-
-    alpha: float
-    beta: float
-
-    def angle(self) -> float:
-        return math.atan2(self.beta, self.alpha)
-
-
-@dataclass(frozen=True)
 class SpectralEllipse:
     """Closed ellipse: center, semiaxes a >= b, unit major-axis direction,
     foci at center +- sqrt(a^2-b^2)*major_dir.  Degenerate shapes (segment
@@ -80,22 +64,17 @@ class SpectralEllipse:
     order_n: int
 
 
-def normalize_mu(lambdas, q0: complex) -> NormalizedSpectrum:
-    """Rotate the multiset by the unit u with u^2 = |q0|/q0 (principal branch).
+def normalize_mu(lambdas) -> NormalizedSpectrum:
+    """Rotate the multiset by the unit u with u^2 = |q0|/q0 (principal branch),
+    where q0 = sum(lambda^2).
 
     When |q0| is below the detection threshold the values pass through
     unchanged with phase_factor 1; both limits agree, so misclassification
-    near zero is harmless.  Raises InconsistentMoments when q0 disagrees
-    with sum(lambda^2).
+    near zero is harmless.
     """
     lam = tuple(complex(v) for v in lambdas)
-    q0 = complex(q0)
+    q0 = complex(sum(v * v for v in lam))
     power = sum(abs(v) ** 2 for v in lam)
-    second = sum(v * v for v in lam)
-    if abs(second - q0) > MOMENT_CONSISTENCY_REL * (1.0 + power):
-        raise InconsistentMoments(
-            f"q0 {q0!r} differs from the multiset second power sum {second!r}"
-        )
     if abs(q0) <= Q_ZERO_REL_THRESHOLD * (1.0 + power):
         return NormalizedSpectrum(mu=lam, phase_factor=1.0 + 0.0j, q_abs=abs(q0))
     u = principal_sqrt(q0.conjugate() / abs(q0))
@@ -147,47 +126,29 @@ def ellipse_from_normalized(
     )
 
 
-def inscribed_ellipse(lambdas, q0: complex, n: int) -> SpectralEllipse:
+def inscribed_ellipse(lambdas, n: int) -> SpectralEllipse:
     """Guaranteed-inscribed ellipse for a traceless multiset: center 0,
     semiaxes R/(sqrt(2)(n-1)) and I/(sqrt(2)(n-1)), foci
     +-sqrt(q0)/(sqrt(2)(n-1))."""
     lam = tuple(complex(v) for v in lambdas)
-    if n < 2:
-        raise DimensionTooSmall(f"ellipse needs dimension >= 2, got {n}")
     if len(lam) != n:
         raise ValueError(f"expected {n} eigenvalues, got {len(lam)}")
-    return ellipse_from_normalized(normalize_mu(lam, q0), n)
+    return ellipse_from_normalized(normalize_mu(lam), n)
 
 
 def shifted_ellipse(d: Decomposition, spec: Spectrum) -> SpectralEllipse:
     """Ellipse of the traceless part translated to the mean eigenvalue gamma."""
-    shifted = tuple(v - d.gamma for v in spec.values)
-    q0 = sum(v * v for v in shifted)
-    return ellipse_from_normalized(normalize_mu(shifted, q0), d.n, center=d.gamma)
+    return ellipse_from_normalized(normalize_mu(v - d.gamma for v in spec.values), d.n, center=d.gamma)
 
 
-def subset_ellipse(sub) -> SpectralEllipse:
-    """Ellipse for an eigenvalue sub-multiset (an invariant subspace's
-    spectrum), centered at the sub-multiset mean with n replaced by its size."""
-    values = tuple(complex(v) for v in sub)
-    m = len(values)
-    if m < 2:
-        raise DimensionTooSmall(f"subset ellipse needs >= 2 values, got {m}")
-    center = sum(values) / m
-    shifted = tuple(v - center for v in values)
-    q0 = sum(v * v for v in shifted)
-    return ellipse_from_normalized(normalize_mu(shifted, q0), m, center=center)
-
-
-def support(e: SpectralEllipse, d: Direction) -> float:
-    """Support function max over the closed ellipse of alpha*Re + beta*Im."""
-    if d.alpha == 0.0 and d.beta == 0.0:
-        raise ZeroDirection("direction (0, 0) has no support value")
-    u = complex(d.alpha, d.beta)
+def support(e: SpectralEllipse, u: complex) -> float:
+    """Support function max over the closed ellipse of Re(conj(u) z)."""
+    if u == 0:
+        raise ZeroDirection("direction 0 has no support value")
     along = (u.conjugate() * e.major_dir).real
     across = (u.conjugate() * (1j * e.major_dir)).real
     reach = math.hypot(e.semimajor * along, e.semiminor * across)
-    return d.alpha * e.center.real + d.beta * e.center.imag + reach
+    return u.real * e.center.real + u.imag * e.center.imag + reach
 
 
 def trace_only_bound(tr_a: complex, q_a: complex, n: int) -> float:

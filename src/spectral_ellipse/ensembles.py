@@ -35,6 +35,7 @@ KINDS = (
 )
 
 TRANSFORM_CONDITION_CAP = 50.0
+MAX_TRANSFORM_DRAWS = 1000
 _TRANSFORM_SPREAD = 0.3
 
 
@@ -85,9 +86,12 @@ def _complex_normal(rng: CounterRng) -> complex:
 
 def _sample_transform(rng: CounterRng, n: int) -> np.ndarray:
     """Random well-conditioned transform I + 0.3*G, resampled until the
-    Frobenius condition estimate ||T||_F * ||T^-1||_F stays within the cap."""
+    Frobenius condition estimate ||T||_F * ||T^-1||_F stays within the cap,
+    which grows with n above n = 32 as the estimate does (like 1.1 n).
+    UnsupportedDimension after MAX_TRANSFORM_DRAWS rejected draws."""
     scale = 1.0 / math.sqrt(2.0 * n)
-    while True:
+    cap = TRANSFORM_CONDITION_CAP * max(1.0, n / 32)
+    for _ in range(MAX_TRANSFORM_DRAWS):
         g = np.array(
             [[_complex_normal(rng) for _ in range(n)] for _ in range(n)], dtype=complex
         )
@@ -96,8 +100,11 @@ def _sample_transform(rng: CounterRng, n: int) -> np.ndarray:
             cond = matrix.condition_estimate(t)
         except matrix.SingularTransform:
             continue
-        if cond <= TRANSFORM_CONDITION_CAP:
+        if cond <= cap:
             return t
+    raise UnsupportedDimension(
+        f"no transform with condition estimate <= {cap:g} in {MAX_TRANSFORM_DRAWS} draws at n = {n}"
+    )
 
 
 def _scramble(diag_values, rng: CounterRng) -> np.ndarray:

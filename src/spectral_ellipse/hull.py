@@ -8,7 +8,8 @@ directional inequality
 
     max_i(alpha*Re mu_i + beta*Im mu_i) >= sqrt(alpha^2 R^2 + beta^2 I^2) / (sqrt(2)(n-1))
 
-directly on the normalized spectrum, without constructing the ellipse.
+for a unit direction u = alpha + i*beta directly on the normalized
+spectrum, without constructing the ellipse.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import numpy as np
 
 from .ellipse import (
     AxisSums,
-    Direction,
     DimensionTooSmall,
     NormalizedSpectrum,
     SpectralEllipse,
@@ -50,7 +50,7 @@ class HullPolygon:
 class ContainmentReport:
     verdict: str
     min_margin: float
-    worst_direction: Direction
+    worst_direction: complex
     per_edge_margins: tuple[float, ...]
 
 
@@ -138,16 +138,9 @@ def contains_ellipse(h: HullPolygon, e: SpectralEllipse, slack: float) -> Contai
     m = len(verts)
 
     if m >= 3:
-        margins: list[float] = []
-        dirs: list[Direction] = []
-        for k in range(m):
-            v0 = verts[k]
-            v1 = verts[(k + 1) % m]
-            edge = v1 - v0
-            normal = complex(edge.imag, -edge.real) / abs(edge)
-            d = Direction(normal.real, normal.imag)
-            margins.append(_dot(normal, v0) - support(e, d))
-            dirs.append(d)
+        edges = [verts[(k + 1) % m] - verts[k] for k in range(m)]
+        dirs = [complex(d.imag, -d.real) / abs(d) for d in edges]
+        margins = [_dot(u, v) - support(e, u) for u, v in zip(dirs, verts)]
         worst = min(range(m), key=lambda i: margins[i])
         verdict = CONTAINED if margins[worst] >= -slack else VIOLATED
         return ContainmentReport(
@@ -160,14 +153,12 @@ def contains_ellipse(h: HullPolygon, e: SpectralEllipse, slack: float) -> Contai
     if m == 2:
         v0, v1 = verts
         s = (v1 - v0) / abs(v1 - v0)
-        d_lo = Direction(-s.real, -s.imag)
-        d_hi = Direction(s.real, s.imag)
-        margin_lo = _dot(-s, v0) - support(e, d_lo)
-        margin_hi = _dot(s, v1) - support(e, d_hi)
+        margin_lo = _dot(-s, v0) - support(e, -s)
+        margin_hi = _dot(s, v1) - support(e, s)
         normal = 1j * s
         dev = max(
-            support(e, Direction(normal.real, normal.imag)) - _dot(normal, v0),
-            support(e, Direction(-normal.real, -normal.imag)) - _dot(-normal, v0),
+            support(e, normal) - _dot(normal, v0),
+            support(e, -normal) - _dot(-normal, v0),
         )
         margins = (margin_lo, margin_hi)
         worst = 0 if margin_lo <= margin_hi else 1
@@ -180,13 +171,14 @@ def contains_ellipse(h: HullPolygon, e: SpectralEllipse, slack: float) -> Contai
         return ContainmentReport(
             verdict=verdict,
             min_margin=margins[worst],
-            worst_direction=(d_lo, d_hi)[worst],
+            worst_direction=(-s, s)[worst],
             per_edge_margins=margins,
         )
 
     v = verts[0]
-    cardinal = (Direction(1.0, 0.0), Direction(-1.0, 0.0), Direction(0.0, 1.0), Direction(0.0, -1.0))
-    margins = tuple(_dot(complex(d.alpha, d.beta), v) - support(e, d) for d in cardinal)
+    # written out: -1j would be complex(-0.0, -1.0)
+    cardinal = (complex(1.0, 0.0), complex(-1.0, 0.0), complex(0.0, 1.0), complex(0.0, -1.0))
+    margins = tuple(_dot(u, v) - support(e, u) for u in cardinal)
     worst = min(range(4), key=lambda i: margins[i])
     if margins[worst] >= -slack:
         verdict = CONTAINED
@@ -202,18 +194,18 @@ def contains_ellipse(h: HullPolygon, e: SpectralEllipse, slack: float) -> Contai
     )
 
 
-def directional_margin(ns: NormalizedSpectrum, ax: AxisSums, n: int, d: Direction) -> float:
+def directional_margin(ns: NormalizedSpectrum, ax: AxisSums, n: int, u: complex) -> float:
     """Slack in the directional inequality for one direction; it is >= 0 in
     every direction whenever the mu values sum to zero, giving an
     ellipse-free containment witness."""
     if n < 2:
         raise DimensionTooSmall(f"directional margin needs n >= 2, got {n}")
-    if d.alpha == 0.0 and d.beta == 0.0:
-        raise ZeroDirection("direction (0, 0) has no margin")
+    if u == 0:
+        raise ZeroDirection("direction 0 has no margin")
     if len(ns.mu) != n:
         raise ValueError(f"expected {n} normalized values, got {len(ns.mu)}")
-    best = max(d.alpha * v.real + d.beta * v.imag for v in ns.mu)
-    rhs = math.hypot(d.alpha * ax.r, d.beta * ax.i_) / (math.sqrt(2.0) * (n - 1))
+    best = max(u.real * v.real + u.imag * v.imag for v in ns.mu)
+    rhs = math.hypot(u.real * ax.r, u.imag * ax.i_) / (math.sqrt(2.0) * (n - 1))
     return best - rhs
 
 

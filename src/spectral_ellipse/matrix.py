@@ -12,8 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import Polynomial
-
 SINGULAR_PIVOT_REL = 1e-12
 CONDITION_WARN_THRESHOLD = 1e8
 
@@ -79,22 +77,26 @@ def decompose(a: np.ndarray) -> Decomposition:
 
 
 def _lu_factor(t: np.ndarray):
-    """LU with partial pivoting; returns (packed LU, row permutation, min |pivot|)."""
+    """LU with partial pivoting; returns (packed LU, row permutation).
+    Raises SingularTransform on a pivot within SINGULAR_PIVOT_REL * ||T||_F of zero."""
     n = t.shape[0]
+    limit = SINGULAR_PIVOT_REL * frobenius(t)
     lu = np.array(t, dtype=complex)
     perm = np.arange(n)
-    min_pivot = np.inf
     for k in range(n):
         j = k + int(np.argmax(np.abs(lu[k:, k])))
         if j != k:
             lu[[k, j]] = lu[[j, k]]
             perm[[k, j]] = perm[[j, k]]
         pivot = lu[k, k]
-        min_pivot = min(min_pivot, abs(pivot))
-        if pivot != 0 and k + 1 < n:
+        if abs(pivot) <= limit:
+            raise SingularTransform(
+                f"pivot {abs(pivot):.3e} below {SINGULAR_PIVOT_REL:.0e} * ||T||_F"
+            )
+        if k + 1 < n:
             lu[k + 1 :, k] /= pivot
             lu[k + 1 :, k + 1 :] -= np.outer(lu[k + 1 :, k], lu[k, k + 1 :])
-    return lu, perm, float(min_pivot)
+    return lu, perm
 
 
 def _lu_solve(lu: np.ndarray, perm: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -109,23 +111,10 @@ def _lu_solve(lu: np.ndarray, perm: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def solve(t: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve T X = B by LU with partial pivoting; SingularTransform on tiny pivots."""
-    lu, perm, min_pivot = _lu_factor(t)
-    if min_pivot <= SINGULAR_PIVOT_REL * frobenius(t):
-        raise SingularTransform(
-            f"pivot {min_pivot:.3e} below {SINGULAR_PIVOT_REL:.0e} * ||T||_F"
-        )
-    return _lu_solve(lu, perm, b)
-
-
-def inverse(t: np.ndarray) -> np.ndarray:
-    return solve(t, identity(t.shape[0]))
-
-
 def condition_estimate(t: np.ndarray) -> float:
     """Frobenius condition number ||T||_F * ||T^-1||_F."""
-    return frobenius(t) * frobenius(inverse(t))
+    lu, perm = _lu_factor(t)
+    return frobenius(t) * frobenius(_lu_solve(lu, perm, identity(t.shape[0])))
 
 
 def similarity(a: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -134,11 +123,7 @@ def similarity(a: np.ndarray, t: np.ndarray) -> np.ndarray:
     t = np.asarray(t, dtype=complex)
     if a.shape != t.shape:
         raise ValueError("matrix and transform must have matching shape")
-    lu, perm, min_pivot = _lu_factor(t)
-    if min_pivot <= SINGULAR_PIVOT_REL * frobenius(t):
-        raise SingularTransform(
-            f"pivot {min_pivot:.3e} below {SINGULAR_PIVOT_REL:.0e} * ||T||_F"
-        )
+    lu, perm = _lu_factor(t)
     tinv = _lu_solve(lu, perm, identity(t.shape[0]))
     cond = frobenius(t) * frobenius(tinv)
     if cond > CONDITION_WARN_THRESHOLD:
@@ -152,8 +137,9 @@ def similarity(a: np.ndarray, t: np.ndarray) -> np.ndarray:
     return x
 
 
-def char_poly(a: np.ndarray) -> Polynomial:
-    """Monic characteristic polynomial by the Faddeev-LeVerrier recursion."""
+def char_poly(a: np.ndarray) -> np.ndarray:
+    """Monic characteristic polynomial by the Faddeev-LeVerrier recursion,
+    coefficients in ascending degree order."""
     a = np.asarray(a, dtype=complex)
     n = a.shape[0]
     eye = identity(n)
@@ -166,4 +152,4 @@ def char_poly(a: np.ndarray) -> Polynomial:
         coeffs[n - k] = c
         if k < n:
             m = prod + c * eye
-    return Polynomial(tuple(complex(c) for c in coeffs))
+    return coeffs

@@ -1,4 +1,4 @@
-"""Complex scalar conventions, polynomials, and a damped Aberth-Ehrlich root finder.
+"""Complex scalar conventions and a damped Aberth-Ehrlich polynomial root finder.
 
 All routines are pure functions of their inputs and never admit NaN/Inf.
 The square-root branch fixed here (argument in (-pi/2, pi/2]) is the one
@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,75 +31,23 @@ class NonConvergence(RuntimeError):
         self.residuals = residuals
 
 
-def _require_finite_scalar(z: complex) -> complex:
-    z = complex(z)
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise ValueError(f"non-finite complex scalar: {z!r}")
-    return z
+class NonFinite(ValueError):
+    """A scalar overflowed to inf or NaN, typically from an input near the
+    float range."""
 
 
 def principal_sqrt(z: complex) -> complex:
     """Square root with argument in (-pi/2, pi/2]; maps -1 to +1j, 0 to 0.
 
     A negative real input always lands on the +i side regardless of the
-    sign of its (zero) imaginary part.
+    sign of its (zero) imaginary part.  Raises NonFinite on inf or NaN.
     """
-    z = _require_finite_scalar(z)
+    z = complex(z)
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        raise NonFinite(f"non-finite complex scalar: {z!r}")
     if z.imag == 0.0:
         z = complex(z.real, 0.0)  # collapse -0.0 so the branch cut is one-sided
     return cmath.sqrt(z)
-
-
-@dataclass(frozen=True)
-class Polynomial:
-    """Dense polynomial, coefficients in ascending degree order."""
-
-    coefficients: tuple[complex, ...]
-
-    def __post_init__(self):
-        coeffs = tuple(_require_finite_scalar(c) for c in self.coefficients)
-        if not coeffs:
-            raise ValueError("polynomial needs at least one coefficient")
-        object.__setattr__(self, "coefficients", coeffs)
-
-    @property
-    def degree(self) -> int:
-        return len(self.coefficients) - 1
-
-    @property
-    def is_monic(self) -> bool:
-        return self.coefficients[-1] == 1.0
-
-    def normalized(self) -> "Polynomial":
-        """Divide through by the leading coefficient; leading becomes exactly 1."""
-        lead = self.coefficients[-1]
-        if lead == 0:
-            raise ValueError("leading coefficient is zero")
-        if lead == 1.0:
-            return self
-        return Polynomial(tuple(c / lead for c in self.coefficients[:-1]) + (1.0 + 0.0j,))
-
-
-def evaluate(p: Polynomial, z: complex) -> complex:
-    """Horner evaluation of p at z (exact for degree 0)."""
-    z = complex(z)
-    acc = 0.0 + 0.0j
-    for c in reversed(p.coefficients):
-        acc = acc * z + c
-    return acc
-
-
-def from_roots(roots) -> Polynomial:
-    """Monic polynomial with the given roots; test-side reconstruction helper."""
-    coeffs = [1.0 + 0.0j]
-    for r in roots:
-        r = complex(r)
-        grown = [-r * coeffs[0]]
-        for k in range(1, len(coeffs) + 1):
-            above = coeffs[k] if k < len(coeffs) else 0.0
-            grown.append(coeffs[k - 1] - r * above)
-        coeffs = grown
-    return Polynomial(tuple(coeffs))
 
 
 def _horner_all(coeffs: np.ndarray, z: np.ndarray):
@@ -242,25 +189,35 @@ _POLISH_BUDGET = 60
 
 
 def find_roots(
-    p: Polynomial,
+    coeffs: np.ndarray,
     tol: float = DEFAULT_ROOT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> tuple[complex, ...]:
-    """All roots of p by damped simultaneous (Aberth-Ehrlich) iteration.
+    """All roots of the polynomial with ascending coefficients `coeffs`, by
+    damped simultaneous (Aberth-Ehrlich) iteration.
 
-    Two phases share the same sweep: plain Horner arithmetic brings the
-    iterates in from the initial circle, then a compensated-evaluation
-    endgame polishes them below the plain noise floor so that multiple
-    roots return as tight clusters whose power sums match the coefficients.
-    Returns exactly degree(p) values sorted lexicographically by (re, im);
-    multiple roots are never merged.  Each returned r satisfies
-    |p(r)| <= tol*(1 + max|c_k|) up to the compensated evaluation floor.
+    The coefficients must be a 1-D array of degree >= 1 with a nonzero
+    leading coefficient (ValueError otherwise), all finite (NonFinite).  Two
+    phases share the same sweep: plain Horner arithmetic brings the iterates
+    in from the initial circle, then a compensated-evaluation endgame
+    polishes them below the plain noise floor so that multiple roots return
+    as tight clusters whose power sums match the coefficients.  Returns exactly
+    degree values sorted lexicographically by (re, im); multiple roots are
+    never merged.  Each returned r satisfies |p(r)| <= tol*(1 + max|c_k|)
+    up to the compensated evaluation floor.
     """
-    p = p.normalized()
-    if p.degree < 1:
-        raise ValueError("root finding needs degree >= 1")
-    coeffs = np.asarray(p.coefficients, dtype=complex)
-    deg = p.degree
+    coeffs = np.asarray(coeffs, dtype=complex)
+    if coeffs.ndim != 1 or coeffs.size < 2:
+        raise ValueError(f"root finding needs a 1-D array of degree >= 1, got shape {coeffs.shape}")
+    if not (np.isfinite(coeffs.real).all() and np.isfinite(coeffs.imag).all()):
+        raise NonFinite("coefficients must be finite")
+    lead = coeffs[-1]
+    if lead == 0:
+        raise ValueError("leading coefficient is zero")
+    if lead != 1:
+        # dividing by an exact 1 could still flip the sign of a zero
+        coeffs = np.append(coeffs[:-1] / lead, 1.0 + 0.0j)
+    deg = len(coeffs) - 1
     if deg == 1:
         return (complex(-coeffs[0]),)
 

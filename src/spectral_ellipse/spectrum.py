@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matrix
-from .numerics import DEFAULT_MAX_ITER, DEFAULT_ROOT_TOL, find_roots
+from .numerics import find_roots
 
 DEFAULT_MOMENT_TOL = 1e-8
 
@@ -50,13 +50,7 @@ def moment_tol(a: np.ndarray, tol: float = DEFAULT_MOMENT_TOL) -> float:
     return tol * (1.0 + matrix.frobenius(a)) ** 2
 
 
-def eigenvalues(
-    a: np.ndarray,
-    tol: float = DEFAULT_MOMENT_TOL,
-    *,
-    root_tol: float = DEFAULT_ROOT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> Spectrum:
+def eigenvalues(a: np.ndarray, tol: float = DEFAULT_MOMENT_TOL) -> Spectrum:
     """All eigenvalues of a, counted by multiplicity, sorted by (re, im).
 
     The matrix is normalized to unit Frobenius scale before the
@@ -75,7 +69,7 @@ def eigenvalues(
     scale = matrix.frobenius(a) / math.sqrt(n)
     if not scale > 0.0:
         scale = 1.0
-    roots = find_roots(matrix.char_poly(a / scale), tol=root_tol, max_iter=max_iter)
+    roots = find_roots(matrix.char_poly(a / scale))
     lams = tuple(sorted((scale * r for r in roots), key=lambda z: (z.real, z.imag)))
 
     limit = moment_tol(a, tol)

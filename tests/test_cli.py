@@ -482,7 +482,7 @@ class TestAnalyze:
         from spectral_ellipse.hull import contains_ellipse, convex_hull
 
         ideal = contains_ellipse(
-            convex_hull((-1, -1, 2)), inscribed_ellipse((-1, -1, 2), 6, 3), 1e-11
+            convex_hull((-1, -1, 2)), inscribed_ellipse((-1, -1, 2), 3), 1e-11
         )
         assert abs(ideal.min_margin - (1 - math.sqrt(3) / 2)) < 1e-12
 
@@ -548,6 +548,23 @@ class TestExitCodes:
         # golden-ratio matrix has tiny but nonzero residuals; tol 0 rejects
         path = write_json_matrix(tmp_path / "g.json", [[0, 0], [1, 0], [1, 0], [1, 0]], 2)
         assert cli.main(["analyze", path, "--tol", "0"]) == 4
+
+    @pytest.mark.parametrize("command", ["analyze", "bound"])
+    def test_overflow_is_5(self, tmp_path, capsys, command):
+        # entries near 2^1000 square past the float range in tr(A^2)
+        big = 2.0**1000
+        path = write_json_matrix(tmp_path / "big.json", [[big, 0], [2 * big, 0], [3 * big, 0], [-big, 0]], 2)
+        assert cli.main([command, path]) == cli.EXIT_OVERFLOW
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("numeric overflow: ") and err.count("\n") == 1
+
+    def test_overflow_in_verify_is_5(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "generate", lambda spec: 2.0**1000 * generate(spec))
+        assert cli.main(["verify", "--ensemble", "Ginibre", "-n", "3", "--trials", "2"]) == cli.EXIT_OVERFLOW
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("numeric overflow: ") and err.count("\n") == 1
 
 
 class TestVerify:

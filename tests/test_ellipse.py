@@ -6,8 +6,6 @@ import pytest
 from spectral_ellipse.ellipse import (
     AxisSums,
     DimensionTooSmall,
-    Direction,
-    InconsistentMoments,
     NormalizedSpectrum,
     SpectralEllipse,
     ZeroDirection,
@@ -16,7 +14,6 @@ from spectral_ellipse.ellipse import (
     inscribed_ellipse,
     normalize_mu,
     shifted_ellipse,
-    subset_ellipse,
     support,
     trace_only_bound,
 )
@@ -35,34 +32,36 @@ def traceless_multiset(m, scale=1.0):
     return lam, q0
 
 
+def unit(theta):
+    return complex(math.cos(theta), math.sin(theta))
+
+
 class TestNormalizeMu:
     def test_already_real_positive(self):
-        ns = normalize_mu((1, -1), 2)
+        ns = normalize_mu((1, -1))
         assert ns.phase_factor == 1
         assert ns.mu == (1, -1)
         assert ns.q_abs == 2
 
     def test_negative_q_rotates_by_i(self):
         # u^2 = |q|/q = 2/(-2) = -1, principal u = i; mu = {i*i, -i*i} = {-1, 1}
-        ns = normalize_mu((1j, -1j), -2)
+        ns = normalize_mu((1j, -1j))
         assert abs(ns.phase_factor - 1j) < 1e-15
         assert abs(ns.mu[0] + 1) < 1e-15 and abs(ns.mu[1] - 1) < 1e-15
         assert abs(sum(v * v for v in ns.mu) - 2) < 1e-14
 
     def test_zero_q_branch_passthrough(self):
         lam = (1, 1j, -1, -1j)
-        ns = normalize_mu(lam, 0)
+        ns = normalize_mu(lam)
         assert ns.phase_factor == 1
         assert ns.mu == lam
-
-    def test_inconsistent_q_rejected(self):
-        with pytest.raises(InconsistentMoments):
-            normalize_mu((1, -1), 7)
 
     def test_invariants_random(self):
         for _ in range(500):
             lam, q0 = traceless_multiset(int(RNG.integers(2, 11)))
-            ns = normalize_mu(lam, q0)
+            ns = normalize_mu(lam)
+            # q0 is derived from the multiset itself, as sum(lambda^2)
+            assert ns.q_abs == abs(q0)
             top = max(abs(v) for v in ns.mu)
             assert abs(sum(ns.mu)) <= 1e-10 * (1 + top)
             assert abs(sum(v * v for v in ns.mu) - ns.q_abs) <= 1e-9 * (1 + ns.q_abs)
@@ -71,29 +70,29 @@ class TestNormalizeMu:
 
 class TestAxisSums:
     def test_real_pair(self):
-        ax = axis_sums(normalize_mu((1, -1), 2))
+        ax = axis_sums(normalize_mu((1, -1)))
         assert abs(ax.r - math.sqrt(2)) < 1e-15 and ax.i_ == 0
 
     def test_fourth_roots(self):
-        ax = axis_sums(normalize_mu((1, 1j, -1, -1j), 0))
+        ax = axis_sums(normalize_mu((1, 1j, -1, -1j)))
         assert abs(ax.r - math.sqrt(2)) < 1e-15
         assert abs(ax.i_ - math.sqrt(2)) < 1e-15
 
     def test_extremal_family(self):
-        ax = axis_sums(normalize_mu((-1, -1, 2), 6))
+        ax = axis_sums(normalize_mu((-1, -1, 2)))
         assert abs(ax.r - math.sqrt(6)) < 1e-14 and ax.i_ == 0
 
     def test_difference_identity_random(self):
         for _ in range(500):
-            lam, q0 = traceless_multiset(int(RNG.integers(2, 11)))
-            ns = normalize_mu(lam, q0)
+            lam, _ = traceless_multiset(int(RNG.integers(2, 11)))
+            ns = normalize_mu(lam)
             ax = axis_sums(ns)
             assert abs(ax.r**2 - ax.i_**2 - ns.q_abs) <= 1e-9 * (1 + ns.q_abs)
 
 
 class TestInscribedEllipse:
     def test_two_point_segment_is_tight(self):
-        e = inscribed_ellipse((1, -1), 2, 2)
+        e = inscribed_ellipse((1, -1), 2)
         assert abs(e.semimajor - 1) < 1e-14
         assert e.semiminor < 1e-14
         assert e.center == 0
@@ -101,7 +100,7 @@ class TestInscribedEllipse:
 
     def test_extremal_family_n3(self):
         # semimajor sqrt(6)/(2 sqrt(2)) = sqrt(3)/2, a flat segment
-        e = inscribed_ellipse((-1, -1, 2), 6, 3)
+        e = inscribed_ellipse((-1, -1, 2), 3)
         assert abs(e.semimajor - math.sqrt(3) / 2) < 1e-14
         assert e.semiminor == 0
         assert {round(f.real, 12) for f in e.foci} == {
@@ -110,23 +109,23 @@ class TestInscribedEllipse:
         }
 
     def test_fourth_roots_circle(self):
-        e = inscribed_ellipse((1, 1j, -1, -1j), 0, 4)
+        e = inscribed_ellipse((1, 1j, -1, -1j), 4)
         assert abs(e.semimajor - 1 / 3) < 1e-15
         assert abs(e.semiminor - 1 / 3) < 1e-15
 
     def test_dimension_too_small(self):
         with pytest.raises(DimensionTooSmall):
-            inscribed_ellipse((1,), 1, 1)
+            inscribed_ellipse((1,), 1)
 
     def test_cardinality_mismatch(self):
         with pytest.raises(ValueError):
-            inscribed_ellipse((1, -1), 2, 3)
+            inscribed_ellipse((1, -1), 3)
 
     def test_branch_independence(self):
         # flipping the square-root branch negates mu and the axis direction but
         # leaves the ellipse, as a point set, untouched
-        lam, q0 = traceless_multiset(6)
-        ns = normalize_mu(lam, q0)
+        lam, _ = traceless_multiset(6)
+        ns = normalize_mu(lam)
         flipped = NormalizedSpectrum(
             mu=tuple(-v for v in ns.mu),
             phase_factor=-ns.phase_factor,
@@ -136,14 +135,14 @@ class TestInscribedEllipse:
         e2 = ellipse_from_normalized(flipped, 6)
         for _ in range(64):
             theta = RNG.uniform(0, 2 * math.pi)
-            d = Direction(math.cos(theta), math.sin(theta))
+            d = unit(theta)
             assert abs(support(e1, d) - support(e2, d)) <= 1e-12
 
     def test_focus_and_semiaxis_identities(self):
         for _ in range(300):
             n = int(RNG.integers(2, 11))
             lam, q0 = traceless_multiset(n, scale=float(RNG.uniform(0.2, 4)))
-            e = inscribed_ellipse(lam, q0, n)
+            e = inscribed_ellipse(lam, n)
             denom = 2.0 * (n - 1) ** 2
             c2 = e.semimajor**2 - e.semiminor**2
             assert abs(c2 - abs(q0) / denom) <= 1e-9 * (1 + abs(q0))
@@ -155,7 +154,7 @@ class TestInscribedEllipse:
         for _ in range(300):
             n = int(RNG.integers(2, 11))
             lam, q0 = traceless_multiset(n)
-            e = inscribed_ellipse(lam, q0, n)
+            e = inscribed_ellipse(lam, n)
             assert e.semimajor >= e.semiminor >= 0
             assert abs(abs(e.major_dir) - 1) <= 1e-14
             # canonical direction: right half plane, ties upward
@@ -172,13 +171,13 @@ class TestInscribedEllipse:
             assert all(abs(g - w) <= 1e-9 * (1 + abs(f)) for g, w in zip(got, want))
 
     def test_scaling_equivariance(self):
-        lam, q0 = traceless_multiset(5)
-        e1 = inscribed_ellipse(lam, q0, 5)
+        lam, _ = traceless_multiset(5)
+        e1 = inscribed_ellipse(lam, 5)
         for t in (0.5, 2.0, 7.25):
-            e2 = inscribed_ellipse(tuple(t * v for v in lam), t * t * q0, 5)
+            e2 = inscribed_ellipse(tuple(t * v for v in lam), 5)
             for k in range(16):
                 theta = 2 * math.pi * k / 16
-                d = Direction(math.cos(theta), math.sin(theta))
+                d = unit(theta)
                 s1, s2 = support(e1, d), support(e2, d)
                 assert abs(s2 - t * s1) <= 1e-10 * (1 + abs(s1))
 
@@ -228,29 +227,9 @@ class TestShiftedEllipse:
             assert all(abs(g - w) <= scale for g, w in zip(got, want))
 
 
-class TestSubsetEllipse:
-    def test_pair_from_larger_spectrum(self):
-        e = subset_ellipse((1, -1))
-        assert abs(e.semimajor - 1) < 1e-14 and e.semiminor < 1e-14
-        assert e.center == 0
-
-    def test_extremal_family_any_ambient(self):
-        e = subset_ellipse((-1, -1, 2))
-        assert abs(e.semimajor - math.sqrt(3) / 2) < 1e-14
-
-    def test_repeated_point(self):
-        e = subset_ellipse((3, 3))
-        assert e.center == 3
-        assert e.semimajor == 0 and e.semiminor == 0
-
-    def test_too_small(self):
-        with pytest.raises(DimensionTooSmall):
-            subset_ellipse((3,))
-
-
 class TestSupport:
     def test_disk(self):
-        unit = SpectralEllipse(
+        disk = SpectralEllipse(
             center=0,
             semimajor=1.0,
             semiminor=1.0,
@@ -258,20 +237,20 @@ class TestSupport:
             foci=(0j, 0j),
             order_n=4,
         )
-        assert abs(support(unit, Direction(3, 4)) - 5) < 1e-12
+        assert abs(support(disk, complex(3, 4)) - 5) < 1e-12
 
     def test_segment_along(self):
-        seg = ellipse_from_normalized(normalize_mu((1, -1), 2), 2)
-        assert abs(support(seg, Direction(1, 0)) - 1) < 1e-14
+        seg = ellipse_from_normalized(normalize_mu((1, -1)), 2)
+        assert abs(support(seg, 1 + 0j) - 1) < 1e-14
 
     def test_segment_flat_direction(self):
-        seg = ellipse_from_normalized(normalize_mu((1, -1), 2), 2)
-        assert abs(support(seg, Direction(0, 1))) < 1e-14
+        seg = ellipse_from_normalized(normalize_mu((1, -1)), 2)
+        assert abs(support(seg, 1j)) < 1e-14
 
     def test_zero_direction(self):
-        seg = ellipse_from_normalized(normalize_mu((1, -1), 2), 2)
+        seg = ellipse_from_normalized(normalize_mu((1, -1)), 2)
         with pytest.raises(ZeroDirection):
-            support(seg, Direction(0, 0))
+            support(seg, 0j)
 
 
 class TestTraceOnlyBound:

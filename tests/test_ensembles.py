@@ -1,9 +1,11 @@
 import math
+import signal
 
 import numpy as np
 import pytest
 
 from spectral_ellipse.ellipse import inscribed_ellipse
+from spectral_ellipse import ensembles
 from spectral_ellipse.ensembles import (
     KINDS,
     TRANSFORM_CONDITION_CAP,
@@ -170,8 +172,7 @@ class TestReferenceSpectrum:
         previous = None
         for n in range(2, 33):
             ref = reference_spectrum(EnsembleSpec("RemarkExtremal", n, 0))
-            q0 = sum(v * v for v in ref)
-            e = inscribed_ellipse(ref, q0, n)
+            e = inscribed_ellipse(ref, n)
             want = math.sqrt(n / (2.0 * (n - 1)))
             assert e.semiminor <= 1e-9
             assert abs(e.semimajor - want) <= 1e-9
@@ -187,6 +188,32 @@ class TestTransforms:
             rng = CounterRng(13 * n)
             t = _sample_transform(rng, n)
             assert condition_estimate(t) <= TRANSFORM_CONDITION_CAP
+
+    def test_large_dimensions_generate_within_time_limit(self):
+        # the estimate grows like 1.1 n, so a fixed cap of 50 rejected nearly
+        # every draw from n = 46 on and the resampling loop never ended; the
+        # cap now scales with n / 32 above n = 32
+        def expired(signum, frame):
+            raise TimeoutError("generate did not finish within 30 s")
+
+        previous = signal.signal(signal.SIGALRM, expired)
+        signal.alarm(30)
+        try:
+            for n in (46, 48, 64):
+                for kind in ("Nilpotent", "PrescribedSpectrum"):
+                    assert generate(EnsembleSpec(kind, n, 7)).shape == (n, n)
+                t = _sample_transform(CounterRng(n), n)
+                assert condition_estimate(t) <= TRANSFORM_CONDITION_CAP * n / 32
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+
+    def test_exhausted_resampling_is_an_error(self, monkeypatch):
+        # ||T||_F * ||T^-1||_F >= n for every T, so a cap of 1 accepts nothing
+        monkeypatch.setattr(ensembles, "TRANSFORM_CONDITION_CAP", 1.0)
+        monkeypatch.setattr(ensembles, "MAX_TRANSFORM_DRAWS", 5)
+        with pytest.raises(UnsupportedDimension, match="5 draws"):
+            generate(EnsembleSpec("PrescribedSpectrum", 3, 0))
 
     def test_all_kinds_generate_all_sizes(self):
         for kind in KINDS:

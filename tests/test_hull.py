@@ -6,14 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spectral_ellipse.ellipse import (
-    Direction,
     DimensionTooSmall,
     ZeroDirection,
     axis_sums,
     ellipse_from_normalized,
     inscribed_ellipse,
     normalize_mu,
-    subset_ellipse,
 )
 from spectral_ellipse.hull import (
     CONTAINED,
@@ -28,6 +26,11 @@ from spectral_ellipse.matrix import as_matrix, decompose
 from spectral_ellipse.spectrum import eigenvalues
 
 RNG = np.random.default_rng(31337)
+
+
+def point_ellipse(z):
+    """The point ellipse of the double eigenvalue {z, z}."""
+    return ellipse_from_normalized(normalize_mu((0, 0)), 2, center=z)
 
 
 class TestConvexHull:
@@ -97,16 +100,16 @@ class TestConvexHull:
 class TestContainsEllipse:
     def test_extremal_family_segment(self):
         h = convex_hull((-1, -1, 2))
-        e = inscribed_ellipse((-1, -1, 2), 6, 3)
+        e = inscribed_ellipse((-1, -1, 2), 3)
         rep = contains_ellipse(h, e, 1e-11)
         assert rep.verdict == CONTAINED
         # worst margin 1 - sqrt(3)/2 at the left end, pointing down the axis
         assert abs(rep.min_margin - (1 - math.sqrt(3) / 2)) < 1e-12
-        assert rep.worst_direction.alpha == -1 and rep.worst_direction.beta == 0
+        assert rep.worst_direction == -1
 
     def test_square_hull_circle(self):
         h = convex_hull((1, 1j, -1, -1j))
-        e = inscribed_ellipse((1, 1j, -1, -1j), 0, 4)
+        e = inscribed_ellipse((1, 1j, -1, -1j), 4)
         rep = contains_ellipse(h, e, 1e-11)
         assert rep.verdict == CONTAINED
         assert abs(rep.min_margin - (1 / math.sqrt(2) - 1 / 3)) < 1e-12
@@ -114,45 +117,45 @@ class TestContainsEllipse:
 
     def test_tight_two_point_case(self):
         h = convex_hull((1, -1))
-        e = inscribed_ellipse((1, -1), 2, 2)
+        e = inscribed_ellipse((1, -1), 2)
         rep = contains_ellipse(h, e, 1e-11)
         assert rep.verdict == CONTAINED
         assert abs(rep.min_margin) < 1e-13
 
     def test_point_hull_point_ellipse(self):
         h = convex_hull((3, 3))
-        e = subset_ellipse((3, 3))
+        e = point_ellipse(3)
         rep = contains_ellipse(h, e, 1e-11)
         assert rep.verdict == CONTAINED
         assert abs(rep.min_margin) < 1e-13
 
     def test_point_hull_displaced_point_is_violated(self):
         h = convex_hull((5,))
-        e = subset_ellipse((7, 7))
+        e = point_ellipse(7)
         rep = contains_ellipse(h, e, 1e-9)
         assert rep.verdict == VIOLATED
 
     def test_point_hull_fat_ellipse_is_degenerate(self):
         h = convex_hull((0,))
-        e = inscribed_ellipse((1, -1), 2, 2)
+        e = inscribed_ellipse((1, -1), 2)
         rep = contains_ellipse(h, e, 1e-9)
         assert rep.verdict == DEGENERATE
 
     def test_segment_hull_fat_ellipse_is_degenerate(self):
         h = convex_hull((1, -1))
-        e = inscribed_ellipse((1, 1j, -1, -1j), 0, 4)  # circle radius 1/3
+        e = inscribed_ellipse((1, 1j, -1, -1j), 4)  # circle radius 1/3
         rep = contains_ellipse(h, e, 1e-9)
         assert rep.verdict == DEGENERATE
 
     def test_segment_hull_long_ellipse_is_violated(self):
         h = convex_hull((0.5, -0.5))
-        e = inscribed_ellipse((1, -1), 2, 2)  # segment [-1, 1]
+        e = inscribed_ellipse((1, -1), 2)  # segment [-1, 1]
         rep = contains_ellipse(h, e, 1e-9)
         assert rep.verdict == VIOLATED
 
     def test_polygon_too_small_is_violated(self):
         h = convex_hull((0.01, 0.01j, -0.01, -0.01j))
-        e = inscribed_ellipse((1, 1j, -1, -1j), 0, 4)
+        e = inscribed_ellipse((1, 1j, -1, -1j), 4)
         rep = contains_ellipse(h, e, 1e-9)
         assert rep.verdict == VIOLATED
         assert rep.min_margin < -0.3
@@ -160,35 +163,35 @@ class TestContainsEllipse:
 
 class TestDirectionalMargin:
     def test_tight_pair_along_axis(self):
-        ns = normalize_mu((1, -1), 2)
+        ns = normalize_mu((1, -1))
         ax = axis_sums(ns)
-        assert abs(directional_margin(ns, ax, 2, Direction(1, 0))) < 1e-14
+        assert abs(directional_margin(ns, ax, 2, 1 + 0j)) < 1e-14
 
     def test_tight_pair_flat_direction(self):
-        ns = normalize_mu((1, -1), 2)
+        ns = normalize_mu((1, -1))
         ax = axis_sums(ns)
-        assert abs(directional_margin(ns, ax, 2, Direction(0, 1))) < 1e-14
+        assert abs(directional_margin(ns, ax, 2, 1j)) < 1e-14
 
     def test_extremal_family(self):
-        ns = normalize_mu((-1, -1, 2), 6)
+        ns = normalize_mu((-1, -1, 2))
         ax = axis_sums(ns)
-        got = directional_margin(ns, ax, 3, Direction(1, 0))
+        got = directional_margin(ns, ax, 3, 1 + 0j)
         assert abs(got - (2 - math.sqrt(3) / 2)) < 1e-14
 
     def test_zero_direction(self):
-        ns = normalize_mu((1, -1), 2)
+        ns = normalize_mu((1, -1))
         with pytest.raises(ZeroDirection):
-            directional_margin(ns, axis_sums(ns), 2, Direction(0, 0))
+            directional_margin(ns, axis_sums(ns), 2, 0j)
 
     def test_dimension(self):
-        ns = normalize_mu((0.0,), 0)
+        ns = normalize_mu((0.0,))
         with pytest.raises(DimensionTooSmall):
-            directional_margin(ns, axis_sums(ns), 1, Direction(1, 0))
+            directional_margin(ns, axis_sums(ns), 1, 1 + 0j)
 
 
 class TestSweepMargins:
     def test_tight_pair_all_zero(self):
-        ns = normalize_mu((1, -1), 2)
+        ns = normalize_mu((1, -1))
         sw = sweep_margins(ns, axis_sums(ns), 2, 4)
         assert len(sw) == 4
         assert min(sw) >= -1e-12
@@ -198,7 +201,7 @@ class TestSweepMargins:
         # real axis are exactly tight (both sides vanish), while the direction
         # facing the clustered eigenvalue keeps the 1 - sqrt(3)/2 hull margin
         # analogue 2 - sqrt(3)/2 here
-        ns = normalize_mu((-1, -1, 2), 6)
+        ns = normalize_mu((-1, -1, 2))
         sw = sweep_margins(ns, axis_sums(ns), 3, 360)
         assert min(sw) >= -1e-15
         # direction facing the clustered eigenvalue: hull margin analogue
@@ -208,21 +211,20 @@ class TestSweepMargins:
     def test_matches_pointwise(self):
         lam = tuple(complex(a, b) for a, b in RNG.uniform(-1, 1, size=(5, 2)))
         lam = tuple(v - sum(lam) / 5 for v in lam)
-        q0 = sum(v * v for v in lam)
-        ns = normalize_mu(lam, q0)
+        ns = normalize_mu(lam)
         ax = axis_sums(ns)
         sw = sweep_margins(ns, ax, 5, 16)
         for j in range(16):
             theta = 2 * math.pi * j / 16
-            d = Direction(math.cos(theta), math.sin(theta))
+            d = complex(math.cos(theta), math.sin(theta))
             assert abs(sw[j] - directional_margin(ns, ax, 5, d)) < 1e-13
 
     def test_shape_contract(self):
-        ns = normalize_mu((1, -1), 2)
+        ns = normalize_mu((1, -1))
         assert len(sweep_margins(ns, axis_sums(ns), 2, 7)) == 7
 
     def test_k_too_small(self):
-        ns = normalize_mu((1, -1), 2)
+        ns = normalize_mu((1, -1))
         with pytest.raises(ValueError):
             sweep_margins(ns, axis_sums(ns), 2, 3)
 
@@ -237,9 +239,7 @@ class TestWitnessAgreement:
             a = as_matrix(g)
             d = decompose(a)
             s = eigenvalues(a)
-            shifted = tuple(v - d.gamma for v in s.values)
-            q0 = sum(v * v for v in shifted)
-            ns = normalize_mu(shifted, q0)
+            ns = normalize_mu(v - d.gamma for v in s.values)
             ax = axis_sums(ns)
             e = ellipse_from_normalized(ns, n, center=d.gamma)
             h = convex_hull(s.values)

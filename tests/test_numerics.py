@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,10 +7,10 @@ from hypothesis import strategies as st
 
 from spectral_ellipse.numerics import (
     NonConvergence,
-    Polynomial,
-    evaluate,
+    NonFinite,
+    _comp_horner_all,
+    _horner_all,
     find_roots,
-    from_roots,
     principal_sqrt,
 )
 
@@ -34,9 +36,9 @@ class TestPrincipalSqrt:
         assert principal_sqrt(0) == 0
 
     def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(NonFinite):
             principal_sqrt(complex(float("nan"), 0))
-        with pytest.raises(ValueError):
+        with pytest.raises(NonFinite):
             principal_sqrt(complex(1, float("inf")))
 
     @given(re=component, im=component)
@@ -55,82 +57,115 @@ class TestPrincipalSqrt:
             assert abs(w * w - z) <= 1e-14 * abs(z)
 
 
+def poly(*coefficients):
+    """Ascending coefficient array, the form find_roots takes."""
+    return np.array(coefficients, dtype=complex)
+
+
+def from_roots(roots):
+    """Monic ascending coefficients with the given roots (numpy's reference)."""
+    return np.poly(np.asarray(roots, dtype=complex))[::-1].astype(complex)
+
+
+def evaluate(p, z):
+    """p(z) by numpy's reference Horner evaluation."""
+    return complex(np.polyval(p[::-1], z))
+
+
 class TestPolynomial:
+    """The polynomial is its ascending coefficient array; find_roots checks it."""
+
     def test_degree(self):
-        assert Polynomial((1, 2, 3)).degree == 2
+        assert len(find_roots(poly(1, 2, 3))) == 2
 
     def test_normalized_is_exactly_monic(self):
-        p = Polynomial((2, 4, -2)).normalized()
-        assert p.is_monic
-        assert p.coefficients[-1] == 1.0
-        assert p.coefficients == (-1, -2, 1)
+        # dividing by the leading -2 is exact here, so both give the same bits
+        assert find_roots(poly(2, 4, -2)) == find_roots(poly(-1, -2, 1))
 
     def test_normalize_rejects_zero_leading(self):
-        with pytest.raises(ValueError):
-            Polynomial((1, 0)).normalized()
+        with pytest.raises(ValueError, match="leading coefficient is zero"):
+            find_roots(poly(1, 0))
 
     def test_rejects_empty_and_non_finite(self):
-        with pytest.raises(ValueError):
-            Polynomial(())
-        with pytest.raises(ValueError):
-            Polynomial((float("nan"), 1))
+        with pytest.raises(ValueError, match="degree >= 1"):
+            find_roots(poly())
+        with pytest.raises(ValueError, match="degree >= 1"):
+            find_roots(np.ones((2, 2), dtype=complex))
+        with pytest.raises(NonFinite):
+            find_roots(poly(float("nan"), 1))
 
 
 class TestEvaluate:
+    """The plain and compensated Horner evaluations find_roots iterates with."""
+
+    @staticmethod
+    def values(p, z):
+        z = np.array([complex(z)])
+        return [complex(f(p, z)[0][0]) for f in (_horner_all, _comp_horner_all)]
+
     def test_quadratic(self):
-        assert evaluate(Polynomial((-1, 0, 1)), 2) == 3
+        assert self.values(poly(-1, 0, 1), 2) == [3, 3]
 
     def test_cubic_at_zero(self):
-        assert evaluate(Polynomial((0, 0, 0, 1)), 0) == 0
+        assert self.values(poly(0, 0, 0, 1), 0) == [0, 0]
 
     def test_root_of_x2_plus_1(self):
-        assert abs(evaluate(Polynomial((1, 0, 1)), 1j)) < 1e-15
+        assert all(abs(v) < 1e-15 for v in self.values(poly(1, 0, 1), 1j))
 
     def test_degree_zero_exact(self):
-        assert evaluate(Polynomial((3.25,)), 1e300) == 3.25
+        assert self.values(poly(3.25), 1e300) == [3.25, 3.25]
 
 
 class TestFindRoots:
     def test_quadratic_real(self):
-        roots = find_roots(Polynomial((-1, 0, 1)))
+        roots = find_roots(poly(-1, 0, 1))
         assert len(roots) == 2
         assert abs(roots[0] + 1) < 1e-12 and abs(roots[1] - 1) < 1e-12
 
     def test_quadratic_imaginary(self):
-        roots = find_roots(Polynomial((1, 0, 1)))
+        roots = find_roots(poly(1, 0, 1))
         assert abs(roots[0] + 1j) < 1e-12 and abs(roots[1] - 1j) < 1e-12
 
     def test_triple_root_clusters_at_zero(self):
         # a residual |r|^3 <= tol*(1+1) allows |r| up to (2e-13)^(1/3) ~ 5.9e-5;
         # the cluster obeys that bound while its sum stays far tighter
-        roots = find_roots(Polynomial((0, 0, 0, 1)))
+        roots = find_roots(poly(0, 0, 0, 1))
         assert len(roots) == 3
         assert max(abs(r) for r in roots) < 1e-4
         assert abs(sum(roots)) < 1e-9
 
     def test_linear(self):
-        assert find_roots(Polynomial((-5, 1))) == (5,)
+        assert find_roots(poly(-5, 1)) == (5,)
 
     def test_degree_zero_rejected(self):
         with pytest.raises(ValueError):
-            find_roots(Polynomial((1,)))
+            find_roots(poly(1))
 
     def test_non_monic_normalized_internally(self):
-        roots = find_roots(Polynomial((-2, 0, 2)))
+        roots = find_roots(poly(-2, 0, 2))
         assert abs(roots[0] + 1) < 1e-12 and abs(roots[1] - 1) < 1e-12
 
     def test_nan_coefficients_rejected(self):
-        with pytest.raises(ValueError):
-            find_roots(Polynomial((float("nan"), 0, 1)))
+        with pytest.raises(NonFinite):
+            find_roots(poly(float("nan"), 0, 1))
+        with pytest.raises(NonFinite):
+            find_roots(poly(1, complex(0, float("inf")), 1))
+
+    def test_monic_input_is_not_divided(self):
+        # dividing -0.0 - 0.0j by 1 + 0j gives -0.0 + 0.0j; a monic array must
+        # reach the iteration with its zeros' signs untouched, so the linear
+        # root is exactly -c0
+        root = find_roots(poly(complex(-0.0, -0.0), 1))[0]
+        assert math.copysign(1.0, root.real) == 1.0 and math.copysign(1.0, root.imag) == 1.0
 
     def test_non_convergence_reports_residuals(self):
         with pytest.raises(NonConvergence) as info:
-            find_roots(Polynomial((0, 0, 0, 1)), max_iter=2)
+            find_roots(poly(0, 0, 0, 1), max_iter=2)
         assert len(info.value.residuals) == 3
         assert all(r > 0 for r in info.value.residuals)
 
     def test_deterministic_and_sorted(self):
-        p = Polynomial((1.5 - 2j, 0.25, -3j, 1))
+        p = poly(1.5 - 2j, 0.25, -3j, 1)
         first = find_roots(p)
         second = find_roots(p)
         assert first == second
@@ -143,13 +178,11 @@ class TestFindRoots:
         for _ in range(200):
             deg = int(rng.integers(1, 17))
             coeffs = rng.uniform(-10, 10, size=(deg, 2)) @ np.array([1, 1j])
-            p = Polynomial(tuple(coeffs) + (1.0 + 0.0j,))
+            p = np.append(coeffs, 1.0 + 0.0j)
             roots = find_roots(p)
             rebuilt = from_roots(roots)
-            worst = max(
-                abs(a - b) for a, b in zip(rebuilt.coefficients, p.coefficients)
-            )
-            scale = max(1.0, max(abs(c) for c in p.coefficients))
+            worst = max(abs(a - b) for a, b in zip(rebuilt, p))
+            scale = max(1.0, max(abs(c) for c in p))
             assert worst <= 1e-8 * scale
 
     def test_residual_contract(self):
@@ -157,12 +190,12 @@ class TestFindRoots:
         for _ in range(50):
             deg = int(rng.integers(2, 13))
             coeffs = rng.uniform(-3, 3, size=(deg, 2)) @ np.array([1, 1j])
-            p = Polynomial(tuple(coeffs) + (1.0 + 0.0j,))
-            scale = 1.0 + max(abs(c) for c in p.coefficients)
+            p = np.append(coeffs, 1.0 + 0.0j)
+            scale = 1.0 + max(abs(c) for c in p)
             for r in find_roots(p):
                 # allow the documented evaluation-noise floor at r
                 floor = np.finfo(float).eps * sum(
-                    abs(c) * abs(r) ** k for k, c in enumerate(p.coefficients)
+                    abs(c) * abs(r) ** k for k, c in enumerate(p)
                 )
                 assert abs(evaluate(p, r)) <= max(1e-13 * scale, 4 * floor)
 

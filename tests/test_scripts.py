@@ -1,0 +1,44 @@
+"""Smoke tests for the command line scripts under scripts/, each run in its
+own interpreter as a user would run it."""
+
+import os
+import subprocess
+import sys
+
+SCRIPTS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scripts")
+
+
+def run_script(name, *args, cwd=None):
+    return subprocess.run(
+        [sys.executable, os.path.join(SCRIPTS, name), *args],
+        capture_output=True,
+        text=True,
+        cwd=cwd,
+        timeout=300,
+    )
+
+
+def test_bulk_verify_small_campaign():
+    proc = run_script("bulk_verify.py", "--trials", "1", "--sizes", "2", "3")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0].split() == ["ensemble", "n", "contained", "mismatch", "nonconv", "worst_margin", "worst_sweep"]
+    assert len(lines) == 1 + 6 * 2 + 1
+    assert lines[-1].endswith("campaign clean")
+
+
+def test_render_gallery_writes_one_figure_per_ensemble(tmp_path):
+    proc = run_script("render_gallery.py", "-n", "3", "--out", "tmp", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    names = sorted(os.listdir(tmp_path / "tmp"))
+    assert len([f for f in names if f.endswith("_n3.svg")]) == 6
+    assert len([f for f in names if f.endswith("_n3.json")]) == 6
+    assert len(names) == 12
+
+
+def test_render_gallery_rejects_dimension_below_two(tmp_path):
+    for n in ("1", "0"):
+        proc = run_script("render_gallery.py", "-n", n, "--out", "tmp", cwd=tmp_path)
+        assert proc.returncode == 2
+        assert "usage:" in proc.stderr and "Traceback" not in proc.stderr
+    assert not (tmp_path / "tmp").exists()
