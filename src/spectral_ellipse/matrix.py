@@ -7,6 +7,7 @@ entry point for externally supplied data.  All operations are pure.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -14,6 +15,11 @@ import numpy as np
 
 SINGULAR_PIVOT_REL = 1e-12
 CONDITION_WARN_THRESHOLD = 1e8
+
+# The plain range of max |Re a_ij|, |Im a_ij|: there the largest square lies
+# in [2^-900, 2^900], so the sum of squares cannot overflow and the squares
+# that underflow are below 2^-120 of the largest one.
+FROBENIUS_PLAIN_RANGE = (2.0**-450, 2.0**450)
 
 
 class SingularTransform(ValueError):
@@ -37,7 +43,28 @@ def identity(n: int) -> np.ndarray:
 
 
 def frobenius(a: np.ndarray) -> float:
-    return float(np.linalg.norm(a, "fro"))
+    """||A||_F without overflow or underflow in the sum of squares.
+
+    When the largest real or imaginary part m lies in FROBENIUS_PLAIN_RANGE
+    this is np.linalg.norm itself, bit for bit.  Outside it, A is first
+    scaled by 2^-e with e = frexp(m)[1], which is exact, then normed, and
+    the norm is scaled back by ldexp (the safe scaling of Anderson, "Safe
+    scaling in the Level 1 BLAS", ACM TOMS 2017).  So frobenius(2^k A) is
+    2^k frobenius(A) exactly wherever both are normal floats.  Returns inf
+    only when ||A||_F itself exceeds the float range.
+    """
+    m = float(max(np.max(np.abs(a.real)), np.max(np.abs(a.imag))))
+    lo, hi = FROBENIUS_PLAIN_RANGE
+    if lo <= m <= hi:
+        return float(np.linalg.norm(a, "fro"))
+    e = math.frexp(m)[1]
+    # 2.0**-e overflows for subnormal m (e < -1021): scale in two exact steps
+    half = -e // 2
+    unit = a * math.ldexp(1.0, half) * math.ldexp(1.0, -e - half)
+    try:
+        return math.ldexp(float(np.linalg.norm(unit, "fro")), e)
+    except OverflowError:
+        return math.inf
 
 
 def trace(a: np.ndarray) -> complex:

@@ -10,14 +10,16 @@ spectrum must never reach the containment verdict.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import matrix
-from .numerics import find_roots
+from .numerics import NonFinite, find_roots
 
 DEFAULT_MOMENT_TOL = 1e-8
+_SUBNORMAL_LIFT = 2.0**600
 
 
 class MomentMismatch(RuntimeError):
@@ -47,7 +49,12 @@ def moment(values, k: int) -> complex:
 
 
 def moment_tol(a: np.ndarray, tol: float = DEFAULT_MOMENT_TOL) -> float:
-    return tol * (1.0 + matrix.frobenius(a)) ** 2
+    """tol*(1 + ||A||_F)^2: absolute at small scale, relative at large."""
+    f = matrix.frobenius(a)
+    try:
+        return tol * (1.0 + f) ** 2
+    except OverflowError:  # f is far above 2^53 here, so 1 + f == f
+        return tol * f * f
 
 
 def eigenvalues(a: np.ndarray, tol: float = DEFAULT_MOMENT_TOL) -> Spectrum:
@@ -56,9 +63,13 @@ def eigenvalues(a: np.ndarray, tol: float = DEFAULT_MOMENT_TOL) -> Spectrum:
     The matrix is normalized to unit Frobenius scale before the
     characteristic polynomial is formed, which keeps the root finder's
     initial circle near the spectrum; roots are scaled back afterwards.
+    `matrix.frobenius` is overflow- and underflow-safe, so every finite
+    input is solved at unit scale: eigenvalues(2^k A) is 2^k eigenvalues(A)
+    exactly wherever the entries and eigenvalues stay normal floats.
     Raises MomentMismatch when the power sums disagree with tr A or tr(A^2)
-    beyond tol*(1 + ||A||_F)^2, and propagates NonConvergence from the
-    root finder.
+    beyond moment_tol(a, tol), NonFinite when ||A||_F, an eigenvalue or a
+    moment residual leaves the float range, and propagates NonConvergence
+    from the root finder.
     """
     a = np.asarray(a, dtype=complex)
     n = a.shape[0]
@@ -67,14 +78,28 @@ def eigenvalues(a: np.ndarray, tol: float = DEFAULT_MOMENT_TOL) -> Spectrum:
         return Spectrum(values=(lam,), sum_residual=0.0, q_residual=0.0)
 
     scale = matrix.frobenius(a) / math.sqrt(n)
+    if math.isinf(scale):
+        raise NonFinite("||A||_F exceeds the float range")
     if not scale > 0.0:
         scale = 1.0
-    roots = find_roots(matrix.char_poly(a / scale))
+    if scale < sys.float_info.min:
+        # numpy's complex division forms 1/scale, which overflows for a
+        # subnormal scale: lift both operands by an exact power of two
+        unit = (a * _SUBNORMAL_LIFT) / (scale * _SUBNORMAL_LIFT)
+    else:
+        unit = a / scale
+    roots = find_roots(matrix.char_poly(unit))
     lams = tuple(sorted((scale * r for r in roots), key=lambda z: (z.real, z.imag)))
 
     limit = moment_tol(a, tol)
-    sum_residual = abs(moment(lams, 1) - matrix.trace(a))
-    q_residual = abs(moment(lams, 2) - matrix.q_form(a))
+    try:
+        sum_residual = abs(moment(lams, 1) - matrix.trace(a))
+        q_residual = abs(moment(lams, 2) - matrix.q_form(a))
+    except OverflowError as exc:  # a power sum left the float range
+        raise NonFinite(f"eigenvalue power sum overflows: {exc}") from None
+    # a NaN residual would pass the comparison below
+    if not (math.isfinite(sum_residual) and math.isfinite(q_residual)):
+        raise NonFinite(f"non-finite moment residuals ({sum_residual}, {q_residual})")
     if sum_residual > limit or q_residual > limit:
         raise MomentMismatch(
             f"moment residuals ({sum_residual:.3e}, {q_residual:.3e}) exceed {limit:.3e}",

@@ -544,6 +544,18 @@ class TestExitCodes:
         monkeypatch.setattr(cli.sp, "eigenvalues", explode)
         assert cli.main(["analyze", path]) == 3
 
+    def test_float_overflow_error_is_5(self, tmp_path, monkeypatch, capsys):
+        # Python float ** raises OverflowError where numpy would return inf
+        path = diag13_file(tmp_path)
+
+        def explode(a, tol):
+            return (2.0**600) ** 2
+
+        monkeypatch.setattr(cli.sp, "eigenvalues", explode)
+        assert cli.main(["analyze", path]) == cli.EXIT_OVERFLOW
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("numeric overflow: ") and err.count("\n") == 1
+
     def test_moment_mismatch_is_4(self, tmp_path):
         # golden-ratio matrix has tiny but nonzero residuals; tol 0 rejects
         path = write_json_matrix(tmp_path / "g.json", [[0, 0], [1, 0], [1, 0], [1, 0]], 2)
@@ -558,6 +570,24 @@ class TestExitCodes:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("numeric overflow: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["analyze", "bound"])
+    @pytest.mark.parametrize(
+        "exponent, entries",
+        [
+            (1000, [[1, 0], [2, 0], [3, 0], [-1, 0]]),  # tr(A^2) overflows
+            (1023, [[1, 0], [0, 0], [0, 0], [1, 0]]),  # tr A overflows
+        ],
+    )
+    def test_overflow_stderr_is_one_line_in_a_fresh_process(self, tmp_path, command, exponent, entries):
+        # pytest captures numpy's RuntimeWarnings, so only a separate
+        # interpreter shows whether they reach stderr
+        scaled = [[re * 2.0**exponent, im] for re, im in entries]
+        path = write_json_matrix(tmp_path / "big.json", scaled, 2)
+        proc = run_cli([command, path])
+        assert proc.returncode == cli.EXIT_OVERFLOW
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("numeric overflow: ") and proc.stderr.count("\n") == 1
 
     def test_overflow_in_verify_is_5(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "generate", lambda spec: 2.0**1000 * generate(spec))

@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from spectral_ellipse.matrix import as_matrix, condition_estimate, q_form, similarity, trace
+from spectral_ellipse.numerics import NonFinite
 from spectral_ellipse.spectrum import MomentMismatch, eigenvalues, moment, moment_tol
 
 RNG = np.random.default_rng(424242)
@@ -82,6 +85,27 @@ class TestEigenvalues:
             eigenvalues(a, tol=0.0)
         assert info.value.sum_residual > 0 or info.value.q_residual > 0
         assert info.value.tol == 0.0
+
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            # ||A||_F and the eigenvalues +-2^1023 sqrt(2) exceed the float range
+            [[2.0**1023, 2.0**1023], [2.0**1023, -(2.0**1023)]],
+            # finite eigenvalues whose squares, so tr(A^2), overflow
+            [[2.0**1000, 2.0**1001], [3 * 2.0**1000, -(2.0**1000)]],
+        ],
+    )
+    def test_non_finite_spectrum_is_an_error(self, entries):
+        # a NaN residual compares False with the limit, so it needs its own check
+        with pytest.raises(NonFinite):
+            eigenvalues(as_matrix(entries))
+
+    def test_moment_tol_does_not_raise_where_the_square_overflows(self):
+        # (1 + f)**2 raises OverflowError beyond f = 2^512; tol*f*f does not
+        assert moment_tol(as_matrix([[2.0**515, 0], [0, 1]])) == 1e-8 * 2.0**515 * 2.0**515
+        # an infinite limit still admits only finite residuals: eigenvalues
+        # rejects the others first
+        assert moment_tol(as_matrix([[2.0**1000, 0], [0, 1]])) == math.inf
 
     def test_matches_lapack_on_random(self):
         for n in (2, 4, 8):
