@@ -2,9 +2,9 @@
 campaigns, print the tightness table, and compute eigensolver-free bounds.
 
 Exit codes: 0 success, 1 ParseError, 2 NonSquare, 3 NonConvergence,
-4 MomentMismatch, 5 NonFinite or OverflowError (numeric overflow: a
-quantity derived from the input left the float range), on exactly one
-stderr line.  `verify` exits 0 iff its CSV contains no Violated row.
+4 MomentMismatch, 5 NonFinite (numeric overflow: a quantity derived from
+the input left the float range), each on exactly one stderr line.  `verify`
+exits 0 iff its CSV contains no Violated row.
 """
 
 from __future__ import annotations
@@ -349,8 +349,8 @@ def main(argv=None) -> int:
         "bound": _cmd_bound,
     }
     try:
-        # overflow surfaces as NonFinite or OverflowError below, not as
-        # numpy warnings ahead of the one-line message
+        # overflow surfaces as NonFinite below, not as numpy warnings
+        # ahead of the one-line message
         with np.errstate(over="ignore", invalid="ignore"):
             return handlers[args.command](args)
     except ParseError as exc:
@@ -365,7 +365,7 @@ def main(argv=None) -> int:
     except MomentMismatch as exc:
         sys.stderr.write(f"moment validation failed: {exc}\n")
         return EXIT_MOMENT
-    except (NonFinite, OverflowError) as exc:
+    except NonFinite as exc:
         sys.stderr.write(f"numeric overflow: {exc}\n")
         return EXIT_OVERFLOW
 

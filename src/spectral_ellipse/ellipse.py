@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 
 from .matrix import Decomposition
-from .numerics import principal_sqrt
+from .numerics import NonFinite, principal_sqrt
 from .spectrum import Spectrum
 
 Q_ZERO_REL_THRESHOLD = 1e-12
@@ -64,6 +64,15 @@ class SpectralEllipse:
     order_n: int
 
 
+def _sum_of_squares(xs) -> float:
+    """sum(x**2); NonFinite where a square leaves the float range (Python's
+    float power raises OverflowError there instead of returning inf)."""
+    try:
+        return sum(x**2 for x in xs)
+    except OverflowError as exc:
+        raise NonFinite(f"sum of squares overflows: {exc}") from None
+
+
 def normalize_mu(lambdas) -> NormalizedSpectrum:
     """Rotate the multiset by the unit u with u^2 = |q0|/q0 (principal branch),
     where q0 = sum(lambda^2).
@@ -74,7 +83,7 @@ def normalize_mu(lambdas) -> NormalizedSpectrum:
     """
     lam = tuple(complex(v) for v in lambdas)
     q0 = complex(sum(v * v for v in lam))
-    power = sum(abs(v) ** 2 for v in lam)
+    power = _sum_of_squares(abs(v) for v in lam)
     if abs(q0) <= Q_ZERO_REL_THRESHOLD * (1.0 + power):
         return NormalizedSpectrum(mu=lam, phase_factor=1.0 + 0.0j, q_abs=abs(q0))
     u = principal_sqrt(q0.conjugate() / abs(q0))
@@ -84,8 +93,8 @@ def normalize_mu(lambdas) -> NormalizedSpectrum:
 
 
 def axis_sums(ns: NormalizedSpectrum) -> AxisSums:
-    r = math.sqrt(sum(v.real**2 for v in ns.mu))
-    i_ = math.sqrt(sum(v.imag**2 for v in ns.mu))
+    r = math.sqrt(_sum_of_squares(v.real for v in ns.mu))
+    i_ = math.sqrt(_sum_of_squares(v.imag for v in ns.mu))
     return AxisSums(r=r, i_=i_)
 
 

@@ -16,11 +16,6 @@ import numpy as np
 SINGULAR_PIVOT_REL = 1e-12
 CONDITION_WARN_THRESHOLD = 1e8
 
-# The plain range of max |Re a_ij|, |Im a_ij|: there the largest square lies
-# in [2^-900, 2^900], so the sum of squares cannot overflow and the squares
-# that underflow are below 2^-120 of the largest one.
-FROBENIUS_PLAIN_RANGE = (2.0**-450, 2.0**450)
-
 
 class SingularTransform(ValueError):
     """Similarity transform rejected: LU found a pivot too close to zero."""
@@ -42,25 +37,35 @@ def identity(n: int) -> np.ndarray:
     return np.eye(n, dtype=complex)
 
 
-def frobenius(a: np.ndarray) -> float:
-    """||A||_F without overflow or underflow in the sum of squares.
+def power_of_two_scale(a: np.ndarray) -> tuple[np.ndarray, int]:
+    """(A * 2^-e, e) with e = frexp(m)[1] for the largest real or imaginary
+    part m, so the largest part of A * 2^-e lies in [1/2, 1); e = 0 for the
+    zero matrix.
 
-    When the largest real or imaginary part m lies in FROBENIUS_PLAIN_RANGE
-    this is np.linalg.norm itself, bit for bit.  Outside it, A is first
-    scaled by 2^-e with e = frexp(m)[1], which is exact, then normed, and
-    the norm is scaled back by ldexp (the safe scaling of Anderson, "Safe
-    scaling in the Level 1 BLAS", ACM TOMS 2017).  So frobenius(2^k A) is
-    2^k frobenius(A) exactly wherever both are normal floats.  Returns inf
-    only when ||A||_F itself exceeds the float range.
+    Wherever the values involved stay normal floats, scaling by a power of
+    two is exact and commutes with every rounding in later sums, products,
+    quotients and square roots: a quantity computed from A * 2^-e and scaled
+    back by ldexp has the bits of the same quantity computed from A (the
+    safe scaling of Anderson, "Safe scaling in the Level 1 BLAS", ACM TOMS
+    2017).  2^-e is applied in two factors because it overflows as one float
+    for subnormal m.
     """
     m = float(max(np.max(np.abs(a.real)), np.max(np.abs(a.imag))))
-    lo, hi = FROBENIUS_PLAIN_RANGE
-    if lo <= m <= hi:
-        return float(np.linalg.norm(a, "fro"))
     e = math.frexp(m)[1]
-    # 2.0**-e overflows for subnormal m (e < -1021): scale in two exact steps
     half = -e // 2
-    unit = a * math.ldexp(1.0, half) * math.ldexp(1.0, -e - half)
+    return a * math.ldexp(1.0, half) * math.ldexp(1.0, -e - half), e
+
+
+def frobenius(a: np.ndarray) -> float:
+    """||A||_F without overflow or underflow in the sum of squares: the
+    np.linalg.norm of A at unit scale (`power_of_two_scale`), scaled back.
+
+    Matches np.linalg.norm(A) bit for bit wherever no square of an entry
+    underflows or overflows, and frobenius(2^k A) is 2^k frobenius(A)
+    exactly wherever both are normal floats.  Returns inf only when ||A||_F
+    itself exceeds the float range.
+    """
+    unit, e = power_of_two_scale(a)
     try:
         return math.ldexp(float(np.linalg.norm(unit, "fro")), e)
     except OverflowError:

@@ -10,7 +10,6 @@ spectrum must never reach the containment verdict.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +18,6 @@ from . import matrix
 from .numerics import NonFinite, find_roots
 
 DEFAULT_MOMENT_TOL = 1e-8
-_SUBNORMAL_LIFT = 2.0**600
 
 
 class MomentMismatch(RuntimeError):
@@ -57,19 +55,24 @@ def moment_tol(a: np.ndarray, tol: float = DEFAULT_MOMENT_TOL) -> float:
         return tol * f * f
 
 
+def _ldexp(z: complex, e: int) -> complex:
+    """z * 2^e; OverflowError where a part leaves the float range."""
+    return complex(math.ldexp(z.real, e), math.ldexp(z.imag, e))
+
+
 def eigenvalues(a: np.ndarray, tol: float = DEFAULT_MOMENT_TOL) -> Spectrum:
     """All eigenvalues of a, counted by multiplicity, sorted by (re, im).
 
-    The matrix is normalized to unit Frobenius scale before the
-    characteristic polynomial is formed, which keeps the root finder's
-    initial circle near the spectrum; roots are scaled back afterwards.
-    `matrix.frobenius` is overflow- and underflow-safe, so every finite
-    input is solved at unit scale: eigenvalues(2^k A) is 2^k eigenvalues(A)
-    exactly wherever the entries and eigenvalues stay normal floats.
-    Raises MomentMismatch when the power sums disagree with tr A or tr(A^2)
-    beyond moment_tol(a, tol), NonFinite when ||A||_F, an eigenvalue or a
-    moment residual leaves the float range, and propagates NonConvergence
-    from the root finder.
+    The matrix is brought to unit scale before the characteristic
+    polynomial is formed, which keeps the root finder's initial circle near
+    the spectrum; roots are scaled back afterwards.  The unit scale is an
+    exact power of two (`matrix.power_of_two_scale`) times a normal float,
+    so every finite input is solved at the same cost, and eigenvalues(2^k A)
+    is 2^k eigenvalues(A) exactly wherever the entries and eigenvalues stay
+    normal floats.  Raises MomentMismatch when the power sums disagree with
+    tr A or tr(A^2) beyond moment_tol(a, tol), NonFinite when an eigenvalue
+    or a moment residual leaves the float range, and propagates
+    NonConvergence from the root finder.
     """
     a = np.asarray(a, dtype=complex)
     n = a.shape[0]
@@ -77,19 +80,16 @@ def eigenvalues(a: np.ndarray, tol: float = DEFAULT_MOMENT_TOL) -> Spectrum:
         lam = complex(a[0, 0])
         return Spectrum(values=(lam,), sum_residual=0.0, q_residual=0.0)
 
-    scale = matrix.frobenius(a) / math.sqrt(n)
-    if math.isinf(scale):
-        raise NonFinite("||A||_F exceeds the float range")
+    unit, e = matrix.power_of_two_scale(a)
+    scale = matrix.frobenius(unit) / math.sqrt(n)
     if not scale > 0.0:
         scale = 1.0
-    if scale < sys.float_info.min:
-        # numpy's complex division forms 1/scale, which overflows for a
-        # subnormal scale: lift both operands by an exact power of two
-        unit = (a * _SUBNORMAL_LIFT) / (scale * _SUBNORMAL_LIFT)
-    else:
-        unit = a / scale
-    roots = find_roots(matrix.char_poly(unit))
-    lams = tuple(sorted((scale * r for r in roots), key=lambda z: (z.real, z.imag)))
+    roots = find_roots(matrix.char_poly(unit / scale))
+    try:
+        scaled_back = [_ldexp(scale * r, e) for r in roots]
+    except OverflowError:
+        raise NonFinite("an eigenvalue exceeds the float range") from None
+    lams = tuple(sorted(scaled_back, key=lambda z: (z.real, z.imag)))
 
     limit = moment_tol(a, tol)
     try:

@@ -544,17 +544,25 @@ class TestExitCodes:
         monkeypatch.setattr(cli.sp, "eigenvalues", explode)
         assert cli.main(["analyze", path]) == 3
 
-    def test_float_overflow_error_is_5(self, tmp_path, monkeypatch, capsys):
-        # Python float ** raises OverflowError where numpy would return inf
+    def test_ellipse_overflow_is_5(self, tmp_path, monkeypatch, capsys):
+        # finite eigenvalues whose squares leave the float range
         path = diag13_file(tmp_path)
-
-        def explode(a, tol):
-            return (2.0**600) ** 2
-
-        monkeypatch.setattr(cli.sp, "eigenvalues", explode)
+        huge = cli.sp.Spectrum((-(2.0**600) + 0j, 2.0**600 + 0j), 0.0, 0.0)
+        monkeypatch.setattr(cli.sp, "eigenvalues", lambda a, tol: huge)
         assert cli.main(["analyze", path]) == cli.EXIT_OVERFLOW
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("numeric overflow: ") and err.count("\n") == 1
+
+    def test_other_overflow_errors_are_not_exit_codes(self, tmp_path, monkeypatch):
+        # only NonFinite reports a quantity beyond the float range
+        path = diag13_file(tmp_path)
+
+        def explode(a, tol):
+            raise OverflowError("not a float range error")
+
+        monkeypatch.setattr(cli.sp, "eigenvalues", explode)
+        with pytest.raises(OverflowError):
+            cli.main(["analyze", path])
 
     def test_moment_mismatch_is_4(self, tmp_path):
         # golden-ratio matrix has tiny but nonzero residuals; tol 0 rejects

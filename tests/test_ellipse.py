@@ -18,7 +18,7 @@ from spectral_ellipse.ellipse import (
     trace_only_bound,
 )
 from spectral_ellipse.matrix import as_matrix, decompose
-from spectral_ellipse.numerics import principal_sqrt
+from spectral_ellipse.numerics import NonFinite, principal_sqrt
 from spectral_ellipse.spectrum import eigenvalues
 
 RNG = np.random.default_rng(171717)
@@ -88,6 +88,18 @@ class TestAxisSums:
             ns = normalize_mu(lam)
             ax = axis_sums(ns)
             assert abs(ax.r**2 - ax.i_**2 - ns.q_abs) <= 1e-9 * (1 + ns.q_abs)
+
+
+class TestSquaresBeyondTheFloatRange:
+    # Python's float power raises OverflowError where numpy returns inf
+    def test_normalize_mu(self):
+        with pytest.raises(NonFinite):
+            normalize_mu((2.0**600, -(2.0**600)))
+
+    def test_axis_sums(self):
+        ns = NormalizedSpectrum(mu=(2.0**600 + 0j, -(2.0**600) + 0j), phase_factor=1 + 0j, q_abs=math.inf)
+        with pytest.raises(NonFinite):
+            axis_sums(ns)
 
 
 class TestInscribedEllipse:

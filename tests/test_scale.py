@@ -14,15 +14,14 @@ import io
 import json
 import math
 import sys
-import time
 
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from spectral_ellipse import cli
+from spectral_ellipse import cli, spectrum
 from spectral_ellipse.ensembles import EnsembleSpec, generate
-from spectral_ellipse.matrix import FROBENIUS_PLAIN_RANGE, frobenius
+from spectral_ellipse.matrix import frobenius
 from spectral_ellipse.numerics import NonConvergence, NonFinite
 from spectral_ellipse.spectrum import MomentMismatch, eigenvalues
 
@@ -61,11 +60,19 @@ class TestFrobenius:
     @settings(max_examples=100, deadline=None)
     @given(normal_matrices(), SCALES)
     def test_is_numpy_norm_in_plain_range(self, a, k):
+        # parts span at most 2^41 here, so within [2^-450, 2^450] no square
+        # of a part underflows or overflows
         scaled = a * 2.0**k
         m = max(np.max(np.abs(scaled.real)), np.max(np.abs(scaled.imag)))
-        lo, hi = FROBENIUS_PLAIN_RANGE
-        assume(lo <= m <= hi)
+        assume(2.0**-450 <= m <= 2.0**450)
         assert frobenius(scaled) == float(np.linalg.norm(scaled, "fro"))
+
+    def test_is_numpy_norm_on_unit_scale_gaussians(self):
+        rng = np.random.default_rng(5)
+        for n in (2, 3, 8, 16, 33, 64):
+            for _ in range(20):
+                a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+                assert frobenius(a) == float(np.linalg.norm(a, "fro"))
 
     @settings(max_examples=100, deadline=None)
     @given(normal_matrices(), SCALES)
@@ -109,19 +116,22 @@ class TestEigenvalues:
         assert eigenvalues(np.diag([1e-320, 0.0])).values == (0j, 1e-320 + 0j)
         assert eigenvalues(np.diag([-5e-324, 5e-324])).values == (-5e-324 + 0j, 5e-324 + 0j)
 
-    def test_underflow_band_costs_what_unit_scale_costs(self):
+    def test_underflow_band_does_the_unit_scale_work(self, monkeypatch):
+        # the root finder's work is a function of its input polynomial, so
+        # equal polynomials mean an equal cost at 2^-800 and at unit scale
+        polynomials = []
+
+        def recording_find_roots(coeffs):
+            polynomials.append(coeffs)
+            return spectrum_find_roots(coeffs)
+
+        spectrum_find_roots = spectrum.find_roots
+        monkeypatch.setattr(spectrum, "find_roots", recording_find_roots)
         a = generate(EnsembleSpec("Ginibre", 32, 5))
-        tiny = a * 2.0**-800
-
-        def best_of_three(m):
-            times = []
-            for _ in range(3):
-                start = time.perf_counter()
-                eigenvalues(m)
-                times.append(time.perf_counter() - start)
-            return min(times)
-
-        assert best_of_three(tiny) <= 3.0 * best_of_three(a)
+        unit = eigenvalues(a).values
+        tiny = eigenvalues(a * 2.0**-800).values
+        assert np.array_equal(polynomials[0], polynomials[1])
+        assert tiny == tuple(v * 2.0**-800 for v in unit)
 
 
 class TestSubnormalInputs:
