@@ -4,9 +4,14 @@ Randomness comes from a counter-based generator: output i of stream `seed`
 is the SplitMix64 finalizer applied to seed + (i+1)*0x9E3779B97F4A7C15, a
 pure function of (seed, i) with no hidden state, so every generated matrix
 is reproducible bit-for-bit from its EnsembleSpec alone (golden test vectors
-live in the test suite).  Gaussians come from Box-Muller on two counter
-draws; the sine partner is discarded so each normal costs exactly two
-draws.
+live in the test suite).  Because no output depends on another, a run of
+consecutive outputs is computed at once over a uint64 index array (Salmon
+et al., "Parallel random numbers: as easy as 1, 2, 3", SC'11).  Gaussians
+come from Box-Muller on two consecutive draws; the sine partner is
+discarded so each normal costs exactly two draws.  The logarithm and cosine
+are libm's `math.log` and `math.cos`, taken element by element: numpy's
+vectorized versions differ from them in the last bit on some inputs, and
+the matrices must not depend on the numpy build.
 
 Draw order per kind is fixed: spectrum-defining draws first (so
 `reference_spectrum` can replay them), then the scrambling transform's
@@ -24,6 +29,8 @@ from . import matrix
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
+_TWO_PI = 2.0 * math.pi
+_NORMAL_BLOCK = 1 << 15  # normals per Box-Muller pass, which bounds its temporaries
 
 KINDS = (
     "Ginibre",
@@ -51,26 +58,49 @@ def counter_value(seed: int, index: int) -> int:
     return z ^ (z >> 31)
 
 
+def counter_values(seed: int, start: int, count: int) -> np.ndarray:
+    """Outputs start .. start+count-1 of stream `seed` as a uint64 array:
+    `counter_value` element by element, in numpy's wrapping uint64 arithmetic."""
+    z = np.arange(start + 1, start + count + 1, dtype=np.uint64)
+    z *= _GAMMA
+    z += seed & _MASK64
+    z ^= z >> 30
+    z *= 0xBF58476D1CE4E5B9
+    z ^= z >> 27
+    z *= 0x94D049BB133111EB
+    z ^= z >> 31
+    return z
+
+
 class CounterRng:
-    """Sequential view over one counter stream."""
+    """Sequential view over one counter stream: each call consumes the next
+    outputs, starting at `index`."""
 
     def __init__(self, seed: int):
         self.seed = seed & _MASK64
         self.index = 0
 
-    def next_u64(self) -> int:
-        v = counter_value(self.seed, self.index)
-        self.index += 1
-        return v
+    def draws(self, count: int) -> np.ndarray:
+        z = counter_values(self.seed, self.index, count)
+        self.index += count
+        return z
 
-    def uniform(self, lo: float = 0.0, hi: float = 1.0) -> float:
-        u = (self.next_u64() >> 11) * 2.0**-53  # in [0, 1)
+    def uniforms(self, count: int, lo: float = 0.0, hi: float = 1.0) -> np.ndarray:
+        u = (self.draws(count) >> 11) * 2.0**-53  # in [0, 1)
         return lo + (hi - lo) * u
 
-    def normal(self) -> float:
-        u1 = ((self.next_u64() >> 11) + 1) * 2.0**-53  # in (0, 1]
-        u2 = (self.next_u64() >> 11) * 2.0**-53
-        return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
+    def normals(self, count: int) -> np.ndarray:
+        """Box-Muller, one normal per two draws, _NORMAL_BLOCK normals at a time."""
+        out = np.empty(count)
+        for start in range(0, count, _NORMAL_BLOCK):
+            v = self.draws(2 * min(_NORMAL_BLOCK, count - start)) >> 11
+            u1 = (v[0::2] + 1) * 2.0**-53  # in (0, 1]
+            u2 = v[1::2] * 2.0**-53
+            m = len(u1)
+            log_u1 = np.fromiter(map(math.log, u1.tolist()), float, m)
+            cos_u2 = np.fromiter(map(math.cos, (_TWO_PI * u2).tolist()), float, m)
+            np.multiply(np.sqrt(-2.0 * log_u1), cos_u2, out=out[start : start + m])
+        return out
 
 
 @dataclass(frozen=True)
@@ -80,8 +110,12 @@ class EnsembleSpec:
     seed: int
 
 
-def _complex_normal(rng: CounterRng) -> complex:
-    return complex(rng.normal(), rng.normal())
+def _complex_normals(rng: CounterRng, count: int, scale: float) -> np.ndarray:
+    """count complex normals times scale, each real part drawn before its
+    imaginary part."""
+    z = rng.normals(2 * count)
+    z *= scale
+    return z.view(complex)
 
 
 def _sample_transform(rng: CounterRng, n: int) -> np.ndarray:
@@ -92,10 +126,8 @@ def _sample_transform(rng: CounterRng, n: int) -> np.ndarray:
     scale = 1.0 / math.sqrt(2.0 * n)
     cap = TRANSFORM_CONDITION_CAP * max(1.0, n / 32)
     for _ in range(MAX_TRANSFORM_DRAWS):
-        g = np.array(
-            [[_complex_normal(rng) for _ in range(n)] for _ in range(n)], dtype=complex
-        )
-        t = matrix.identity(n) + _TRANSFORM_SPREAD * scale * g
+        g = _complex_normals(rng, n * n, _TRANSFORM_SPREAD * scale).reshape(n, n)
+        t = matrix.identity(n) + g
         try:
             cond = matrix.condition_estimate(t)
         except matrix.SingularTransform:
@@ -115,17 +147,17 @@ def _scramble(diag_values, rng: CounterRng) -> np.ndarray:
 
 
 def _prescribed_values(rng: CounterRng, n: int) -> tuple[complex, ...]:
-    return tuple(complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)) for _ in range(n))
+    return tuple(rng.uniforms(2 * n, -1.0, 1.0).view(complex).tolist())
 
 
 def _qzero_values(rng: CounterRng, n: int) -> tuple[complex, ...]:
     """Fourth-roots-of-unity blocks (block 0 unrotated, later blocks at a
     sampled phase) padded with zeros: both power sums vanish exactly."""
     blocks = n // 4
+    phases = rng.uniforms(max(blocks - 1, 0), 0.0, _TWO_PI).tolist()
+    rotations = [1.0 + 0.0j] + [complex(math.cos(t), math.sin(t)) for t in phases]
     values: list[complex] = []
-    for b in range(blocks):
-        theta = 0.0 if b == 0 else rng.uniform(0.0, 2.0 * math.pi)
-        w = complex(math.cos(theta), math.sin(theta)) if b else 1.0 + 0.0j
+    for w in rotations[:blocks]:
         values.extend((w, w * 1j, -w, -w * 1j))
     values.extend([0.0 + 0.0j] * (n - 4 * blocks))
     return tuple(values)
@@ -148,21 +180,14 @@ def generate(spec: EnsembleSpec) -> np.ndarray:
 
     if spec.kind == "Ginibre":
         scale = 1.0 / math.sqrt(2.0 * n)
-        a = np.array(
-            [[scale * _complex_normal(rng) for _ in range(n)] for _ in range(n)],
-            dtype=complex,
-        )
+        a = _complex_normals(rng, n * n, scale).reshape(n, n)
     elif spec.kind == "RealGaussian":
         scale = 1.0 / math.sqrt(n)
-        a = np.array(
-            [[scale * rng.normal() for _ in range(n)] for _ in range(n)], dtype=complex
-        )
+        a = (scale * rng.normals(n * n)).reshape(n, n).astype(complex)
     elif spec.kind == "Nilpotent":
         scale = 1.0 / math.sqrt(2.0 * n)
         a = np.zeros((n, n), dtype=complex)
-        for i in range(n):
-            for j in range(i + 1, n):
-                a[i, j] = scale * _complex_normal(rng)
+        a[np.triu_indices(n, 1)] = _complex_normals(rng, n * (n - 1) // 2, scale)
         if n > 1:
             a = np.asarray(matrix.similarity(a, _sample_transform(rng, n)))
     elif spec.kind == "PrescribedSpectrum":
@@ -172,7 +197,6 @@ def generate(spec: EnsembleSpec) -> np.ndarray:
     else:  # QZero
         a = _scramble(_qzero_values(rng, n), rng)
 
-    a = np.array(a)
     a.flags.writeable = False
     return a
 

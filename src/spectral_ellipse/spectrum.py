@@ -69,10 +69,11 @@ def eigenvalues(a: np.ndarray, tol: float = DEFAULT_MOMENT_TOL) -> Spectrum:
     exact power of two (`matrix.power_of_two_scale`) times a normal float,
     so every finite input is solved at the same cost, and eigenvalues(2^k A)
     is 2^k eigenvalues(A) exactly wherever the entries and eigenvalues stay
-    normal floats.  Raises MomentMismatch when the power sums disagree with
-    tr A or tr(A^2) beyond moment_tol(a, tol), NonFinite when an eigenvalue
-    or a moment residual leaves the float range, and propagates
-    NonConvergence from the root finder.
+    normal floats.  The zero matrix, which has no unit scale, gets its exact
+    spectrum of n zeros without a solve.  Raises MomentMismatch when the
+    power sums disagree with tr A or tr(A^2) beyond moment_tol(a, tol),
+    NonFinite when an eigenvalue or a moment residual leaves the float
+    range, and propagates NonConvergence from the root finder.
     """
     a = np.asarray(a, dtype=complex)
     n = a.shape[0]
@@ -80,10 +81,11 @@ def eigenvalues(a: np.ndarray, tol: float = DEFAULT_MOMENT_TOL) -> Spectrum:
         lam = complex(a[0, 0])
         return Spectrum(values=(lam,), sum_residual=0.0, q_residual=0.0)
 
+    if not a.any():
+        return Spectrum(values=(0j,) * n, sum_residual=0.0, q_residual=0.0)
+
     unit, e = matrix.power_of_two_scale(a)
     scale = matrix.frobenius(unit) / math.sqrt(n)
-    if not scale > 0.0:
-        scale = 1.0
     roots = find_roots(matrix.char_poly(unit / scale))
     try:
         scaled_back = [_ldexp(scale * r, e) for r in roots]

@@ -6,7 +6,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spectral_ellipse import cli
@@ -190,11 +190,14 @@ def scalar_mtx(text):
         for k, pos in enumerate(range(head, head + count, width)):
             a[k % rows, k // rows] = complex(num(pos), num(pos + 1) if width == 2 else 0.0)
         return a
-    for pos in range(head, head + count, 2 + width):
-        i, j = index(pos), index(pos + 1)
-        if not (1 <= i <= rows and 1 <= j <= cols):
-            raise ParseError(f"coordinate ({i}, {j}) out of range")
-        a[i - 1, j - 1] += complex(num(pos + 2), num(pos + 3) if width == 2 else 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked after the last entry
+        for pos in range(head, head + count, 2 + width):
+            i, j = index(pos), index(pos + 1)
+            if not (1 <= i <= rows and 1 <= j <= cols):
+                raise ParseError(f"coordinate ({i}, {j}) out of range")
+            a[i - 1, j - 1] += complex(num(pos + 2), num(pos + 3) if width == 2 else 0.0)
+    if not np.isfinite(a).all():
+        raise ParseError("duplicate coordinate entries sum to a non-finite value")
     return a
 
 
@@ -285,6 +288,7 @@ class TestParserParity:
 
     @settings(max_examples=300, deadline=None)
     @given(mtx_files())
+    @example("%%MatrixMarket matrix coordinate real general\n2\n2\n2\n2\n2\n1e308\n2\n2\n1e308\n")
     def test_matches_scalar_reading(self, text):
         assert outcome(parse_mtx, text) == outcome(scalar_mtx, text)
 
@@ -665,6 +669,18 @@ class TestVerify:
         rows = (tmp_path / "stalled.csv").read_text().splitlines()
         assert rows[2] == f"{clean[2].split(',')[0]},4,,,,,,NonConvergence"
         assert rows[:2] + rows[3:] == clean[:2] + clean[3:]
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_qzero_below_four_is_a_point(self, n, tmp_path, capsys):
+        # QZero at n < 4 is the zero matrix, whose spectrum is exact: a
+        # point hull and a point ellipse on it
+        csv_path = tmp_path / "q.csv"
+        args = ["verify", "--ensemble", "QZero", "-n", str(n), "--trials", "4", "--csv", str(csv_path)]
+        assert cli.main(args) == 0
+        capsys.readouterr()
+        rows = [row.split(",") for row in csv_path.read_text().splitlines()[1:]]
+        assert len(rows) == 4
+        assert all(row[1:] == [str(n), "0", "0", "0", "0", "0", "Contained"] for row in rows)
 
     def test_csv_to_stdout_without_path(self, capsys):
         rc = cli.main(["verify", "--ensemble", "Nilpotent", "-n", "3", "--trials", "2", "--seed", "5"])

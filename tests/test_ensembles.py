@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from spectral_ellipse.ellipse import inscribed_ellipse
-from spectral_ellipse import ensembles
+from spectral_ellipse import ensembles, matrix
 from spectral_ellipse.ensembles import (
     KINDS,
     TRANSFORM_CONDITION_CAP,
@@ -14,11 +14,91 @@ from spectral_ellipse.ensembles import (
     UnsupportedDimension,
     _sample_transform,
     counter_value,
+    counter_values,
     generate,
     reference_spectrum,
 )
 from spectral_ellipse.matrix import as_matrix, condition_estimate, frobenius, q_form, trace
 from spectral_ellipse.spectrum import eigenvalues
+
+
+class ScalarRng:
+    """Reference for CounterRng's array draws: one counter_value per draw
+    and one Box-Muller normal at a time, in Python floats."""
+
+    def __init__(self, seed):
+        self.seed = seed & (2**64 - 1)
+        self.index = 0
+
+    def next_u64(self):
+        v = counter_value(self.seed, self.index)
+        self.index += 1
+        return v
+
+    def uniform(self, lo=0.0, hi=1.0):
+        u = (self.next_u64() >> 11) * 2.0**-53  # in [0, 1)
+        return lo + (hi - lo) * u
+
+    def normal(self):
+        u1 = ((self.next_u64() >> 11) + 1) * 2.0**-53  # in (0, 1]
+        u2 = (self.next_u64() >> 11) * 2.0**-53
+        return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
+
+    def complex_normal(self):
+        return complex(self.normal(), self.normal())
+
+
+def scalar_transform(rng, n):
+    """Reference for _sample_transform, drawn entry by entry; the cap, the
+    draw limit and the condition estimate are read from the package."""
+    scale = 1.0 / math.sqrt(2.0 * n)
+    cap = ensembles.TRANSFORM_CONDITION_CAP * max(1.0, n / 32)
+    for _ in range(ensembles.MAX_TRANSFORM_DRAWS):
+        g = np.array([[rng.complex_normal() for _ in range(n)] for _ in range(n)], dtype=complex)
+        t = matrix.identity(n) + ensembles._TRANSFORM_SPREAD * scale * g
+        try:
+            cond = matrix.condition_estimate(t)
+        except matrix.SingularTransform:
+            continue
+        if cond <= cap:
+            return t
+    raise UnsupportedDimension(f"no transform in {ensembles.MAX_TRANSFORM_DRAWS} draws at n = {n}")
+
+
+def scalar_generate(spec):
+    """Reference for generate: every draw taken one at a time, in the
+    stream order the module docstring fixes."""
+    n, rng = spec.n, ScalarRng(spec.seed)
+    if spec.kind == "Ginibre":
+        scale = 1.0 / math.sqrt(2.0 * n)
+        return np.array([[scale * rng.complex_normal() for _ in range(n)] for _ in range(n)], dtype=complex)
+    if spec.kind == "RealGaussian":
+        scale = 1.0 / math.sqrt(n)
+        return np.array([[scale * rng.normal() for _ in range(n)] for _ in range(n)], dtype=complex)
+    if spec.kind == "Nilpotent":
+        scale = 1.0 / math.sqrt(2.0 * n)
+        a = np.zeros((n, n), dtype=complex)
+        for i in range(n):
+            for j in range(i + 1, n):
+                a[i, j] = scale * rng.complex_normal()
+        return matrix.similarity(a, scalar_transform(rng, n)) if n > 1 else a
+    values = scalar_spectrum(spec.kind, n, rng)
+    return matrix.similarity(np.diag(np.array(values, dtype=complex)), scalar_transform(rng, n))
+
+
+def scalar_spectrum(kind, n, rng):
+    """Reference for the spectrum-defining draws of the scrambled kinds."""
+    if kind == "PrescribedSpectrum":
+        return [complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)) for _ in range(n)]
+    if kind == "RemarkExtremal":
+        return [-1.0 + 0.0j] * (n - 1) + [complex(n - 1)]
+    values = []  # QZero
+    for b in range(n // 4):
+        theta = 0.0 if b == 0 else rng.uniform(0.0, 2.0 * math.pi)
+        w = complex(math.cos(theta), math.sin(theta)) if b else 1.0 + 0.0j
+        values.extend((w, w * 1j, -w, -w * 1j))
+    values.extend([0.0 + 0.0j] * (n - len(values)))
+    return values
 
 
 def greedy_match_distance(found, reference):
@@ -44,19 +124,38 @@ class TestCounterRng:
         assert counter_value(99, 5) != counter_value(99, 6)
         assert counter_value(99, 5) != counter_value(100, 5)
 
+    def test_array_golden_vectors(self):
+        assert counter_values(0, 0, 1).tolist() == [16294208416658607535]
+        assert counter_values(42, 7, 1).tolist() == [14769051326987775908]
+        assert counter_values(2**63, 123, 1).tolist() == [1572445733666261465]
+
+    def test_array_matches_counter(self):
+        for seed in (0, 5, 2**63 + 1, 2**64 - 1):
+            for start in (0, 17, 2**40):
+                expected = [counter_value(seed, start + i) for i in range(50)]
+                assert counter_values(seed, start, 50).tolist() == expected
+
     def test_sequential_view_matches_counter(self):
         rng = CounterRng(7)
-        assert [rng.next_u64() for _ in range(4)] == [counter_value(7, i) for i in range(4)]
+        assert rng.draws(4).tolist() == [counter_value(7, i) for i in range(4)]
+        assert rng.draws(3).tolist() == [counter_value(7, i) for i in range(4, 7)]
+        assert rng.index == 7
+
+    def test_draws_match_scalar_reference(self):
+        rng, ref = CounterRng(19), ScalarRng(19)
+        assert rng.uniforms(300, -1.0, 1.0).tolist() == [ref.uniform(-1.0, 1.0) for _ in range(300)]
+        # more normals than one Box-Muller block, so the seam between blocks is covered
+        count = ensembles._NORMAL_BLOCK + 5
+        assert rng.normals(count).tobytes() == np.array([ref.normal() for _ in range(count)]).tobytes()
+        assert rng.index == ref.index
 
     def test_uniform_range(self):
-        rng = CounterRng(3)
-        draws = [rng.uniform() for _ in range(2000)]
+        draws = CounterRng(3).uniforms(2000)
         assert all(0 <= u < 1 for u in draws)
         assert abs(sum(draws) / len(draws) - 0.5) < 0.05
 
     def test_normal_moments(self):
-        rng = CounterRng(11)
-        draws = [rng.normal() for _ in range(4000)]
+        draws = CounterRng(11).normals(4000).tolist()
         mean = sum(draws) / len(draws)
         var = sum((d - mean) ** 2 for d in draws) / len(draws)
         assert abs(mean) < 0.1
@@ -64,6 +163,19 @@ class TestCounterRng:
 
 
 class TestGenerate:
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_matches_scalar_reference(self, kind):
+        for n in (*range(1, 9), 13, 16, 32, 46, 64):
+            for seed in (0, 1, 12345, 2**63 + 5, 2**64 - 1):
+                spec = EnsembleSpec(kind, n, seed)
+                if kind in ("RemarkExtremal", "QZero") and n < 2:
+                    continue
+                assert generate(spec).tobytes() == scalar_generate(spec).tobytes(), spec
+
+    def test_large_ginibre_matches_scalar_reference(self):
+        spec = EnsembleSpec("Ginibre", 512, 3)
+        assert generate(spec).tobytes() == scalar_generate(spec).tobytes()
+
     def test_bit_identical_for_same_spec(self):
         spec = EnsembleSpec("Ginibre", 6, 12345)
         assert np.array_equal(generate(spec), generate(spec))
@@ -124,6 +236,13 @@ class TestReferenceSpectrum:
 
     def test_nilpotent(self):
         assert reference_spectrum(EnsembleSpec("Nilpotent", 5, 0)) == (0, 0, 0, 0, 0)
+
+    def test_replay_matches_scalar_reference(self):
+        for kind in ("PrescribedSpectrum", "RemarkExtremal", "QZero"):
+            for n in (2, 3, 4, 7, 8, 13, 16, 33):
+                for seed in (0, 9, 2**64 - 1):
+                    expected = scalar_spectrum(kind, n, ScalarRng(seed))
+                    assert reference_spectrum(EnsembleSpec(kind, n, seed)) == tuple(expected)
 
     def test_unknown_for_gaussian_kinds(self):
         assert reference_spectrum(EnsembleSpec("Ginibre", 8, 0)) is None

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from spectral_ellipse import spectrum
 from spectral_ellipse.matrix import as_matrix, condition_estimate, q_form, similarity, trace
 from spectral_ellipse.numerics import NonFinite
 from spectral_ellipse.spectrum import MomentMismatch, eigenvalues, moment, moment_tol
@@ -59,6 +60,19 @@ class TestEigenvalues:
         c = as_matrix([[0, 0, -2], [1, 0, 1], [0, 1, 2]])
         s = eigenvalues(c)
         assert greedy_match_distance(s.values, (1, -1, 2)) < 1e-10
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_zero_matrix_is_n_exact_zeros(self, n, monkeypatch):
+        # z^n has no unit scale, and the root finder returned junk near
+        # 1e-124 for it, so the zero matrix must not reach the root finder
+        def no_solve(coeffs):
+            raise AssertionError("root finder called on the zero matrix")
+
+        monkeypatch.setattr(spectrum, "find_roots", no_solve)
+        for zero in (np.zeros((n, n)), np.full((n, n), complex(-0.0, -0.0))):
+            s = eigenvalues(as_matrix(zero))
+            assert s.values == (0j,) * n
+            assert s.sum_residual == 0.0 and s.q_residual == 0.0
 
     def test_one_by_one(self):
         s = eigenvalues(as_matrix([[5]]))
