@@ -159,7 +159,7 @@ def run_trial(kind: str, n: int, trial_seed: int, settings: PipelineSettings) ->
         semimajor=an.ellipse.semimajor,
         semiminor=an.ellipse.semiminor,
         min_margin=an.containment.min_margin,
-        sweep_min=min(sweep),
+        sweep_min=float(sweep.min()),
         verdict=an.containment.verdict,
     )
 

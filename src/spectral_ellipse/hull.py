@@ -209,8 +209,8 @@ def directional_margin(ns: NormalizedSpectrum, ax: AxisSums, n: int, u: complex)
     return best - rhs
 
 
-def sweep_margins(ns: NormalizedSpectrum, ax: AxisSums, n: int, k: int) -> tuple[float, ...]:
-    """directional_margin at the k directions (cos(2 pi j / k), sin(2 pi j / k))."""
+def sweep_margins(ns: NormalizedSpectrum, ax: AxisSums, n: int, k: int) -> np.ndarray:
+    """directional_margin at the k directions (cos(2 pi j / k), sin(2 pi j / k)), as an array."""
     if k < 4:
         raise ValueError(f"sweep needs k >= 4 directions, got {k}")
     if n < 2:
@@ -223,4 +223,4 @@ def sweep_margins(ns: NormalizedSpectrum, ax: AxisSums, n: int, k: int) -> tuple
     mu = np.asarray(ns.mu, dtype=complex)
     best = np.max(np.outer(alpha, mu.real) + np.outer(beta, mu.imag), axis=1)
     rhs = np.hypot(alpha * ax.r, beta * ax.i_) / (math.sqrt(2.0) * (n - 1))
-    return tuple(float(v) for v in best - rhs)
+    return best - rhs

@@ -47,7 +47,9 @@ def principal_sqrt(z: complex) -> complex:
         raise NonFinite(f"non-finite complex scalar: {z!r}")
     if z.imag == 0.0:
         z = complex(z.real, 0.0)  # collapse -0.0 so the branch cut is one-sided
-    return cmath.sqrt(z)
+    w = cmath.sqrt(z)
+    # for z.real < 0 and a tiny z.imag < 0 the positive real part underflows to 0
+    return complex(math.ulp(0.0), w.imag) if w.real == 0.0 and w.imag < 0.0 else w
 
 
 def _horner_all(coeffs: np.ndarray, z: np.ndarray):

@@ -56,11 +56,7 @@ def scalar_transform(rng, n):
     for _ in range(ensembles.MAX_TRANSFORM_DRAWS):
         g = np.array([[rng.complex_normal() for _ in range(n)] for _ in range(n)], dtype=complex)
         t = matrix.identity(n) + ensembles._TRANSFORM_SPREAD * scale * g
-        try:
-            cond = matrix.condition_estimate(t)
-        except matrix.SingularTransform:
-            continue
-        if cond <= cap:
+        if matrix.condition_estimate(t) <= cap:
             return t
     raise UnsupportedDimension(f"no transform in {ensembles.MAX_TRANSFORM_DRAWS} draws at n = {n}")
 
@@ -326,6 +322,16 @@ class TestTransforms:
         finally:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
+
+    def test_singular_candidate_is_skipped(self, monkeypatch):
+        # the first candidate I + G is the zero matrix, whose estimate is inf;
+        # the sampler goes on to the next candidate without raising
+        n = 3
+        second = 0.05j * np.arange(n * n).reshape(n, n)
+        candidates = iter((-np.eye(n, dtype=complex), second))
+        monkeypatch.setattr(ensembles, "_complex_normals", lambda rng, count, scale: next(candidates))
+        assert condition_estimate(np.zeros((n, n), dtype=complex)) == math.inf
+        assert np.array_equal(_sample_transform(CounterRng(0), n), np.eye(n) + second)
 
     def test_exhausted_resampling_is_an_error(self, monkeypatch):
         # ||T||_F * ||T^-1||_F >= n for every T, so a cap of 1 accepts nothing

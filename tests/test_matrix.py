@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -126,11 +129,19 @@ class TestSimilarity:
         with pytest.raises(SingularTransform):
             similarity(random_complex(2), as_matrix([[1, 0], [0, 1e-20]]))
 
-    def test_condition_estimate_shares_the_pivot_check(self):
-        with pytest.raises(SingularTransform):
-            condition_estimate(as_matrix([[1, 1], [1, 1]]))
-        with pytest.raises(SingularTransform):
-            condition_estimate(as_matrix([[1, 0], [0, 1e-20]]))
+    def test_condition_estimate_reaches_the_singular_bound(self):
+        # the transforms similarity rejects: an exactly singular T has an
+        # infinite estimate, a numerically singular one at least 1e12
+        assert condition_estimate(as_matrix([[1, 1], [1, 1]])) == math.inf
+        assert condition_estimate(as_matrix([[1, 0], [0, 1e-20]])) >= 1e12
+
+    def test_scale_free_at_both_float_ends(self):
+        t = well_conditioned_transform(4)
+        a = random_complex(4)
+        cond = condition_estimate(t)
+        for k in (-990, -600, 600, 1000):
+            assert condition_estimate(t * 2.0**k) == cond
+            assert np.array_equal(similarity(a, t * 2.0**k), similarity(a, t))
 
     def test_condition_warning(self):
         with pytest.warns(UserWarning, match="condition"):
@@ -149,11 +160,29 @@ class TestSimilarity:
         with pytest.raises(ValueError):
             similarity(random_complex(3), np.eye(2))
 
-    def test_solve_matches_numpy(self):
-        # the LU solve of T X = A T against LAPACK's
-        t = well_conditioned_transform(5)
-        a = random_complex(5)
-        assert np.allclose(similarity(a, t), np.linalg.solve(t, a @ t), atol=1e-10)
+    def test_solve_matches_exact_arithmetic(self):
+        # T^-1 A T in rationals, by Gauss-Jordan on T X = A T, for a small
+        # integer T and a Gaussian-integer A (real and imaginary parts apart)
+        t = [[2, 1, 0], [-1, 3, 1], [1, 0, 4]]
+        a = [[1 + 2j, -3, 0], [4j, 2 - 1j, 5], [-1, 1j, 3 + 3j]]
+
+        def exact(part):
+            rows = [
+                [Fraction(v) for v in t[i]] + [sum(Fraction(part[i][k]) * t[k][j] for k in range(3)) for j in range(3)]
+                for i in range(3)
+            ]
+            for c in range(3):
+                p = next(r for r in range(c, 3) if rows[r][c] != 0)
+                rows[c], rows[p] = rows[p], rows[c]
+                rows[c] = [v / rows[c][c] for v in rows[c]]
+                for r in range(3):
+                    if r != c:
+                        rows[r] = [v - rows[r][c] * w for v, w in zip(rows[r], rows[c])]
+            return np.array([[float(v) for v in row[3:]] for row in rows])
+
+        want = exact([[v.real for v in row] for row in a]) + 1j * exact([[v.imag for v in row] for row in a])
+        got = similarity(as_matrix(a), as_matrix(t))
+        assert np.max(np.abs(got - want)) <= 1e-14 * frobenius(want)
 
 
 class TestCharPoly:

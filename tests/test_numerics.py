@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spectral_ellipse.numerics import (
@@ -42,6 +42,7 @@ class TestPrincipalSqrt:
             principal_sqrt(complex(1, float("inf")))
 
     @given(re=component, im=component)
+    @example(re=-1.0, im=-5e-324)  # the real part of the root underflows
     def test_square_recovers_input(self, re, im):
         z = complex(re, im)
         w = principal_sqrt(z)
