@@ -34,11 +34,12 @@ def main() -> int:
         stem = os.path.join(args.out, f"{kind.lower()}_n{args.dimension}")
         with open(stem + ".svg", "w", encoding="utf-8") as fh:
             fh.write(render_svg(an))
+        report = analysis_report(an)
         with open(stem + ".json", "w", encoding="utf-8") as fh:
-            fh.write(canonical_json(analysis_report(an)))
-        c, e = an.containment, an.ellipse
-        print(f"{kind:>20}: verdict {c.verdict:>9}, a = {e.semimajor:.4f}, "
-              f"b = {e.semiminor:.4f}, margin = {c.min_margin:.3e} -> {stem}.svg")
+            fh.write(canonical_json(report))
+        c, e = report["containment"], report["ellipse"]
+        print(f"{kind:>20}: verdict {c['verdict']:>9}, a = {e['semimajor']:.4f}, "
+              f"b = {e['semiminor']:.4f}, margin = {c['min_margin']:.3e} -> {stem}.svg")
     return 0
 
 

@@ -51,63 +51,78 @@ class PipelineSettings:
 
 @dataclass(frozen=True)
 class Analysis:
-    """Everything the pipeline computes for one matrix, each part once.  The
-    last four are None when n = 1, where there is no ellipse."""
+    """Everything the pipeline computes for one matrix A, each part once, for
+    A at unit scale, A * 2^-exponent: reports scale lengths by 2^exponent and
+    q values by 4^exponent.  The last four are None when n = 1 (no ellipse)."""
 
     decomposition: mx.Decomposition
     spectrum: sp.Spectrum
     hull: hl.HullPolygon
+    exponent: int
     normalized: el.NormalizedSpectrum | None
     ellipse: el.SpectralEllipse | None
     containment: hl.ContainmentReport | None
     bound: float | None
 
 
+def _scaled(z, e: int):
+    """The report value of z * 2^e: a float, or a complex_obj for a complex z.
+    NonFinite where a part leaves the float range."""
+    try:
+        if isinstance(z, complex):
+            return complex_obj(complex(math.ldexp(z.real, e), math.ldexp(z.imag, e)))
+        return math.ldexp(z, e)
+    except OverflowError:
+        raise NonFinite(f"a reported value times 2^{e} exceeds the float range") from None
+
+
 def analyze(a, settings: PipelineSettings = PipelineSettings()) -> Analysis:
-    """The pipeline: decompose, eigensolve, hull; then normalize the spectrum
-    shifted by gamma, build the ellipse centered at gamma, certify
-    containment, and take the trace-only bound."""
+    """The pipeline, on A at unit scale (so every tolerance is relative):
+    decompose, eigensolve, hull; then normalize the spectrum shifted by gamma,
+    build the ellipse centered at gamma, certify containment, and take the
+    trace-only bound."""
     n = a.shape[0]
-    d = mx.decompose(a)
-    spectrum = sp.eigenvalues(a, settings.moment_tol)
+    unit, e = mx.power_of_two_scale(a)
+    d = mx.decompose(unit)
+    spectrum = sp.eigenvalues(unit, settings.moment_tol)
     hull = hl.convex_hull(spectrum.values)
     if n < 2:
-        return Analysis(d, spectrum, hull, None, None, None, None)
+        return Analysis(d, spectrum, hull, e, None, None, None, None)
     ns = el.normalize_mu(v - d.gamma for v in spectrum.values)
     shape = el.ellipse_from_normalized(ns, n, center=d.gamma)
     containment = hl.contains_ellipse(hull, shape, settings.slack(spectrum.values))
-    bound = el.trace_only_bound(mx.trace(a), d.q_total, n)
-    return Analysis(d, spectrum, hull, ns, shape, containment, bound)
+    bound = el.trace_only_bound(mx.trace(unit), d.q_total, n)
+    return Analysis(d, spectrum, hull, e, ns, shape, containment, bound)
 
 
 def analysis_report(an: Analysis) -> dict:
-    """The JSON report of `analyze`."""
-    d, shape, containment = an.decomposition, an.ellipse, an.containment
+    """The JSON report of `analyze`, at the scale of the input."""
+    d, shape, containment, e = an.decomposition, an.ellipse, an.containment, an.exponent
     report = {
         "schema": SCHEMA,
         "n": d.n,
-        "gamma": complex_obj(d.gamma),
-        "q_total": complex_obj(d.q_total),
-        "q_traceless": complex_obj(d.q_traceless),
-        "eigenvalues": [complex_obj(v) for v in an.spectrum.values],
+        "gamma": _scaled(d.gamma, e),
+        "q_total": _scaled(d.q_total, 2 * e),
+        "q_traceless": _scaled(d.q_traceless, 2 * e),
+        "eigenvalues": [_scaled(v, e) for v in an.spectrum.values],
         "ellipse": None if shape is None else {
-            "center": complex_obj(shape.center),
-            "semimajor": shape.semimajor,
-            "semiminor": shape.semiminor,
+            "center": _scaled(shape.center, e),
+            "semimajor": _scaled(shape.semimajor, e),
+            "semiminor": _scaled(shape.semiminor, e),
             "major_dir_angle_rad": math.atan2(shape.major_dir.imag, shape.major_dir.real),
-            "foci": [complex_obj(f) for f in shape.foci],
+            "foci": [_scaled(f, e) for f in shape.foci],
         },
-        "hull_vertices": [complex_obj(v) for v in an.hull.vertices],
+        "hull_vertices": [_scaled(v, e) for v in an.hull.vertices],
         "containment": None if containment is None else {
             "verdict": containment.verdict,
-            "min_margin": containment.min_margin,
+            "min_margin": _scaled(containment.min_margin, e),
             "worst_direction_angle_rad": math.atan2(
                 containment.worst_direction.imag, containment.worst_direction.real
             ),
         },
         "bounds": {
-            "trace_only_lower": an.bound,
-            "observed_spectral_radius": max(abs(v) for v in an.spectrum.values),
+            "trace_only_lower": None if an.bound is None else _scaled(an.bound, e),
+            "observed_spectral_radius": _scaled(max(abs(v) for v in an.spectrum.values), e),
         },
     }
     if shape is None:
@@ -150,16 +165,16 @@ def run_trial(kind: str, n: int, trial_seed: int, settings: PipelineSettings) ->
         an = analyze(a, settings)
     except (MomentMismatch, NonConvergence) as exc:
         return TrialRecord(trial_seed, n, None, None, None, None, None, type(exc).__name__)
-    ns = an.normalized
+    ns, e = an.normalized, an.exponent
     sweep = hl.sweep_margins(ns, el.axis_sums(ns), n, settings.sweep_k)
     return TrialRecord(
         seed=trial_seed,
         n=n,
-        q_abs=ns.q_abs,
-        semimajor=an.ellipse.semimajor,
-        semiminor=an.ellipse.semiminor,
-        min_margin=an.containment.min_margin,
-        sweep_min=float(sweep.min()),
+        q_abs=_scaled(ns.q_abs, 2 * e),
+        semimajor=_scaled(an.ellipse.semimajor, e),
+        semiminor=_scaled(an.ellipse.semiminor, e),
+        min_margin=_scaled(an.containment.min_margin, e),
+        sweep_min=_scaled(sweep.min(), e),
         verdict=an.containment.verdict,
     )
 
@@ -218,14 +233,15 @@ def _format_tightness_table(rows) -> str:
 
 def bound_report(a) -> dict:
     """Eigensolver-free report: gamma, Q of the traceless part, the two foci,
-    and the spectral radius lower bound."""
+    and the spectral radius lower bound, computed at unit scale as in `analyze`."""
     n = a.shape[0]
-    d = mx.decompose(a)
+    unit, e = mx.power_of_two_scale(a)
+    d = mx.decompose(unit)
     report = {
         "schema": SCHEMA,
         "n": n,
-        "gamma": complex_obj(d.gamma),
-        "q_traceless": complex_obj(d.q_traceless),
+        "gamma": _scaled(d.gamma, e),
+        "q_traceless": _scaled(d.q_traceless, 2 * e),
     }
     if n < 2:
         report["foci"] = None
@@ -233,8 +249,8 @@ def bound_report(a) -> dict:
         report["note"] = "dimension < 2"
         return report
     f = principal_sqrt(d.q_traceless) / (math.sqrt(2.0) * (n - 1))
-    report["foci"] = [complex_obj(d.gamma + f), complex_obj(d.gamma - f)]
-    report["trace_only_lower"] = el.trace_only_bound(mx.trace(a), d.q_total, n)
+    report["foci"] = [_scaled(d.gamma + f, e), _scaled(d.gamma - f, e)]
+    report["trace_only_lower"] = _scaled(el.trace_only_bound(mx.trace(unit), d.q_total, n), e)
     return report
 
 

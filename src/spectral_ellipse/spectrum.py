@@ -4,7 +4,8 @@ two power-sum identities sum(lambda) = tr A and sum(lambda^2) = tr(A^2).
 Validation is by moments rather than residual vectors: the pipeline produces
 roots, not eigenvectors, and the downstream geometry consumes exactly these
 two power sums.  A failed moment check is a hard error because an unreliable
-spectrum must never reach the containment verdict.
+spectrum must never reach the containment verdict.  Scale is chosen in
+`cli`, which passes the matrix at unit scale and scales the answer back.
 """
 
 from __future__ import annotations
@@ -55,21 +56,15 @@ def moment_tol(a: np.ndarray, tol: float = DEFAULT_MOMENT_TOL) -> float:
         return tol * f * f
 
 
-def _ldexp(z: complex, e: int) -> complex:
-    """z * 2^e; OverflowError where a part leaves the float range."""
-    return complex(math.ldexp(z.real, e), math.ldexp(z.imag, e))
-
-
 def eigenvalues(a: np.ndarray, tol: float = DEFAULT_MOMENT_TOL) -> Spectrum:
     """All eigenvalues of a, counted by multiplicity, sorted by (re, im).
 
-    The matrix is brought to unit scale before the characteristic
+    The matrix is divided by ||A||_F / sqrt(n) before the characteristic
     polynomial is formed, which keeps the root finder's initial circle near
-    the spectrum; roots are scaled back afterwards.  The unit scale is an
-    exact power of two (`matrix.power_of_two_scale`) times a normal float,
-    so every finite input is solved at the same cost, and eigenvalues(2^k A)
-    is 2^k eigenvalues(A) exactly wherever the entries and eigenvalues stay
-    normal floats.  The zero matrix, which has no unit scale, gets its exact
+    the spectrum; roots are multiplied back afterwards.  The pipeline calls
+    this on a matrix already at unit scale (`matrix.power_of_two_scale`, in
+    `cli`), where neither step can overflow or underflow; far from unit
+    scale the result may be NonFinite.  The zero matrix gets its exact
     spectrum of n zeros without a solve.  Raises MomentMismatch when the
     power sums disagree with tr A or tr(A^2) beyond moment_tol(a, tol),
     NonFinite when an eigenvalue or a moment residual leaves the float
@@ -84,14 +79,9 @@ def eigenvalues(a: np.ndarray, tol: float = DEFAULT_MOMENT_TOL) -> Spectrum:
     if not a.any():
         return Spectrum(values=(0j,) * n, sum_residual=0.0, q_residual=0.0)
 
-    unit, e = matrix.power_of_two_scale(a)
-    scale = matrix.frobenius(unit) / math.sqrt(n)
-    roots = find_roots(matrix.char_poly(unit / scale))
-    try:
-        scaled_back = [_ldexp(scale * r, e) for r in roots]
-    except OverflowError:
-        raise NonFinite("an eigenvalue exceeds the float range") from None
-    lams = tuple(sorted(scaled_back, key=lambda z: (z.real, z.imag)))
+    scale = matrix.frobenius(a) / math.sqrt(n)
+    roots = find_roots(matrix.char_poly(a / scale))
+    lams = tuple(sorted((scale * r for r in roots), key=lambda z: (z.real, z.imag)))
 
     limit = moment_tol(a, tol)
     try:

@@ -74,7 +74,12 @@ def run_campaign_trial(kind: str, n: int, seed: int) -> Trial:
         an = cli.analyze(a)
     except sp.MomentMismatch:
         return Trial(kind=kind, n=n, seed=seed, frob=frob, mismatch=True)
+    # the Analysis is at unit scale; every field below is taken back to the
+    # scale of A, where frob and each criterion's threshold are
+    length, square = 2.0**an.exponent, 4.0**an.exponent
     d, spectrum, ns = an.decomposition, an.spectrum, an.normalized
+    gamma = d.gamma * length
+    values = [v * length for v in spectrum.values]
     sweep = hl.sweep_margins(ns, el.axis_sums(ns), n, SWEEP_K)
     return Trial(
         kind=kind,
@@ -82,20 +87,20 @@ def run_campaign_trial(kind: str, n: int, seed: int) -> Trial:
         seed=seed,
         frob=frob,
         mismatch=False,
-        q_total=d.q_total,
-        q_traceless=d.q_traceless,
-        dec1_residual=abs(d.q_total - (n * d.gamma**2 + d.q_traceless)),
-        sum_residual=spectrum.sum_residual,
-        q_residual=spectrum.q_residual,
-        rho=max(abs(v) for v in spectrum.values),
-        shifted_power=sum(abs(v - d.gamma) ** 2 for v in spectrum.values),
-        max_mu=max(abs(v) for v in ns.mu),
-        semimajor=an.ellipse.semimajor,
-        semiminor=an.ellipse.semiminor,
+        q_total=d.q_total * square,
+        q_traceless=d.q_traceless * square,
+        dec1_residual=abs(d.q_total - (n * d.gamma**2 + d.q_traceless)) * square,
+        sum_residual=spectrum.sum_residual * length,
+        q_residual=spectrum.q_residual * square,
+        rho=max(abs(v) for v in values),
+        shifted_power=sum(abs(v - gamma) ** 2 for v in values),
+        max_mu=max(abs(v) for v in ns.mu) * length,
+        semimajor=an.ellipse.semimajor * length,
+        semiminor=an.ellipse.semiminor * length,
         verdict=an.containment.verdict,
-        min_margin=an.containment.min_margin,
-        sweep_min=min(sweep),
-        bound=an.bound,
+        min_margin=an.containment.min_margin * length,
+        sweep_min=min(sweep) * length,
+        bound=an.bound * length,
     )
 
 
@@ -141,18 +146,20 @@ def test_criterion_2_two_by_two_tightness():
     for t in range(500):
         seed = counter_value(CAMPAIGN_SEED + 1, t)
         an = cli.analyze(generate(EnsembleSpec(kind="Ginibre", n=2, seed=seed)))
-        values, shape, containment = an.spectrum.values, an.ellipse, an.containment
+        # back from unit scale to the matrix's, where the thresholds are
+        length, containment = 2.0**an.exponent, an.containment
+        values = [v * length for v in an.spectrum.values]
         scale = 1e-9 * (1.0 + max(abs(v) for v in values))
         remaining = list(values)
         worst = 0.0
-        for f in shape.foci:
+        for f in (f * length for f in an.ellipse.foci):
             j = min(range(len(remaining)), key=lambda i: abs(f - remaining[i]))
             worst = max(worst, abs(f - remaining[j]))
             remaining.pop(j)
         if worst > scale:
             failures.append(f"seed {seed}: foci off by {worst:.3e}")
-        if containment.min_margin > 1e-9:
-            failures.append(f"seed {seed}: margin {containment.min_margin:.3e} not tight")
+        if containment.min_margin * length > 1e-9:
+            failures.append(f"seed {seed}: margin {containment.min_margin * length:.3e} not tight")
         if containment.verdict != hl.CONTAINED:
             failures.append(f"seed {seed}: verdict {containment.verdict}")
     report(2, "n=2 tightness", not failures, "500 matrices, foci = eigenvalues")
@@ -210,6 +217,15 @@ def test_criterion_4_moment_identities(campaign):
     assert not failures, failures[:10]
 
 
+def ellipse_at_input_scale(a):
+    """Center, semiaxes and major direction of the ellipse of `analyze`,
+    taken back from unit scale to the scale of a: A and T^-1 A T may have
+    different unit scales."""
+    an = cli.analyze(mx.as_matrix(a))
+    e, length = an.ellipse, 2.0**an.exponent
+    return e.center * length, e.semimajor * length, e.semiminor * length, e.major_dir
+
+
 def test_criterion_5_similarity_invariance():
     failures = []
     for t in range(200):
@@ -222,14 +238,8 @@ def test_criterion_5_similarity_invariance():
         if abs(qb - qa) > 1e-9 * (1.0 + abs(qa)):
             failures.append(f"t={t}: q_form drift {abs(qb - qa):.3e}")
             continue
-        ea = cli.analyze(mx.as_matrix(a)).ellipse
-        eb = cli.analyze(mx.as_matrix(b)).ellipse
-        deviations = (
-            abs(ea.center - eb.center),
-            abs(ea.semimajor - eb.semimajor),
-            abs(ea.semiminor - eb.semiminor),
-            abs(ea.major_dir - eb.major_dir),
-        )
+        ea, eb = ellipse_at_input_scale(a), ellipse_at_input_scale(b)
+        deviations = tuple(abs(x - y) for x, y in zip(ea, eb))
         if max(deviations) > 1e-6:
             failures.append(f"t={t} n={n}: ellipse deviation {max(deviations):.3e}")
     report(5, "similarity invariance", not failures, "200 pairs, cond(T) <= 50")

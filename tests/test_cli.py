@@ -583,12 +583,14 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("numeric overflow: ") and err.count("\n") == 1
 
-    @pytest.mark.parametrize("command", ["analyze", "bound"])
     @pytest.mark.parametrize(
-        "exponent, entries",
+        "command, exponent, entries",
         [
-            (1000, [[1, 0], [2, 0], [3, 0], [-1, 0]]),  # tr(A^2) overflows
-            (1023, [[1, 0], [0, 0], [0, 0], [1, 0]]),  # tr A overflows
+            # tr(A^2) overflows
+            pytest.param("analyze", 1000, [[1, 0], [2, 0], [3, 0], [-1, 0]], id="1000-entries0-analyze"),
+            pytest.param("bound", 1000, [[1, 0], [2, 0], [3, 0], [-1, 0]], id="1000-entries0-bound"),
+            # q_total = 2^2047 overflows; bound reports no q_total
+            pytest.param("analyze", 1023, [[1, 0], [0, 0], [0, 0], [1, 0]], id="1023-entries1-analyze"),
         ],
     )
     def test_overflow_stderr_is_one_line_in_a_fresh_process(self, tmp_path, command, exponent, entries):
@@ -600,6 +602,18 @@ class TestExitCodes:
         assert proc.returncode == cli.EXIT_OVERFLOW
         assert proc.stdout == ""
         assert proc.stderr.startswith("numeric overflow: ") and proc.stderr.count("\n") == 1
+
+    def test_bound_of_the_largest_scalar_matrix(self, tmp_path, capsys):
+        # 2^1023 I: tr A overflows, but at unit scale nothing does, and every
+        # reported value is in the float range
+        big = 2.0**1023
+        path = write_json_matrix(tmp_path / "big.json", [[big, 0], [0, 0], [0, 0], [big, 0]], 2)
+        assert cli.main(["bound", path]) == cli.EXIT_OK
+        report = json.loads(capsys.readouterr().out)
+        gamma = {"re": big, "im": 0.0}
+        assert report["gamma"] == gamma and report["foci"] == [gamma, gamma]
+        assert report["q_traceless"] == {"re": 0, "im": 0}
+        assert report["trace_only_lower"] == big
 
     def test_overflow_in_verify_is_5(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "generate", lambda spec: 2.0**1000 * generate(spec))

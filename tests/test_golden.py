@@ -15,16 +15,18 @@ re-recorded to make a refactor pass.
 
 Inputs: a 1x1 and a 2x2 JSON matrix, a scrambled PrescribedSpectrum n=8
 matrix as `array` Matrix Market, the same matrix scaled by 2^-40 and by
-2^-1000 as JSON, and a `coordinate` file with a duplicate entry.  At 2^-1000
-the eigenvalues are exactly 2^-1000 times the unscaled ones, but tr(A^2)
-underflows and the q0 threshold is absolute, so the ellipse collapses to its
-center: that golden pins the tiny-scale defect ROADMAP item 3 defers.
+2^-1000 as JSON, and a `coordinate` file with a duplicate entry.  The
+pipeline runs on the unit-scale matrix, so the reports of the two scaled
+copies are the unscaled ones with every length times 2^k and every q value
+times 4^k (which underflows to 0 at 2^-1000), and their SVGs are the
+unscaled SVG.
 """
 
 import json
 import os
 
 import pytest
+from test_scale import scaled_report
 
 from spectral_ellipse import cli
 
@@ -83,8 +85,9 @@ def test_verify_csv_and_summary(run, capsys):
 
 
 def test_tiny_eigenvalues_are_the_unscaled_ones_times_two_to_minus_1000():
-    def eigenvalues(name):
-        return [complex(v["re"], v["im"]) for v in json.loads(golden("analyze", name))["eigenvalues"]]
-
-    unit = eigenvalues("prescribed_n8.json")
-    assert eigenvalues("prescribed_n8_tiny.json") == [v * 2.0**-1000 for v in unit]
+    # whole reports, eigenvalues included, and the 2^-40 copy as well
+    for command in ("analyze", "bound"):
+        unit = json.loads(golden(command, "prescribed_n8.json"))
+        for name, k in (("prescribed_n8_scaled.json", -40), ("prescribed_n8_tiny.json", -1000)):
+            scaled = json.loads(golden(command, name))
+            assert scaled == scaled_report(unit, k)

@@ -1,12 +1,13 @@
 """Scale: a matrix's power-of-two scale changes neither the cost nor the
-answer of the Frobenius norm and the eigensolve.
+answer of the Frobenius norm, the eigensolve and the `analyze` and `bound`
+reports.
 
 Scaling by 2^k is exact in floating point wherever the values stay normal,
-so `frobenius` and `eigenvalues` must commute with it bit for bit there.
-The matrices below have normal entries whose parts lie in [2^-20, 2^21) or
-are zero, so 2^k A stays normal for every k in [-1000, 1000].  Near the top
-of that range the eigensolve's moment check (tr(A^2), the squares of the
-eigenvalues) may overflow, which `eigenvalues` reports as NonFinite.
+so `frobenius` and the reports must commute with it bit for bit there.  The
+matrices below have normal entries whose parts lie in [2^-20, 2^21) or are
+zero, so 2^k A stays normal for every k in [-1000, 1000].  Near the top of
+that range a reported value (a q value first) may leave the float range,
+which the reports raise as NonFinite.
 """
 
 import contextlib
@@ -16,6 +17,7 @@ import math
 import sys
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -44,11 +46,6 @@ def normal_matrices(draw):
     parts = draw(st.lists(part, min_size=2 * n * n, max_size=2 * n * n))
     a = np.array(parts[0::2]) + 1j * np.array(parts[1::2])
     return a.reshape(n, n)
-
-
-def scales_exactly(x: float, k: int) -> bool:
-    """x and x * 2^k are both zero or both normal floats."""
-    return x == 0.0 or all(sys.float_info.min <= abs(y) <= sys.float_info.max for y in (x, x * 2.0**k))
 
 
 class TestFrobenius:
@@ -90,31 +87,80 @@ class TestFrobenius:
         assert frobenius(np.zeros((3, 3))) == 0.0
 
 
-class TestEigenvalues:
+Q_KEYS = ("q_total", "q_traceless")
+
+
+def scaled_report(report, k: int):
+    """The report of 2^k A from the report of A: every length times 2^k and
+    every q value times 4^k by ldexp, angles and all other fields as they
+    are.  OverflowError where a value leaves the float range."""
+
+    def walk(obj, power):
+        if isinstance(obj, dict):
+            return {
+                key: walk(value, 0 if key.endswith("_rad") else 2 * k if key in Q_KEYS else power)
+                for key, value in obj.items()
+            }
+        if isinstance(obj, list):
+            return [walk(value, power) for value in obj]
+        return math.ldexp(obj, power) if isinstance(obj, float) else obj
+
+    return walk(report, k)
+
+
+def report_floats(report):
+    if isinstance(report, dict):
+        return [x for value in report.values() for x in report_floats(value)]
+    if isinstance(report, list):
+        return [x for value in report for x in report_floats(value)]
+    return [report] if isinstance(report, float) else []
+
+
+def hex_floats(report):
+    return [x.hex() for x in report_floats(report)]
+
+
+class TestAnalyze:
+    """The scale is chosen once, in `cli`: the reports of 2^k A are those of
+    A with every length times 2^k and every q value times 4^k, bit for bit,
+    and the verdict does not change."""
+
     @settings(max_examples=60, deadline=None)
     @given(normal_matrices(), SCALES)
-    def test_commute_with_powers_of_two(self, a, k):
+    def test_reports_commute_with_powers_of_two(self, a, k):
         try:
-            unit = eigenvalues(a).values
-        except (MomentMismatch, NonConvergence):
-            assume(False)
-        assume(all(scales_exactly(v.real, k) and scales_exactly(v.imag, k) for v in unit))
-        expected = tuple(v * 2.0**k for v in unit)
-        try:
-            values = eigenvalues(a * 2.0**k).values
-        except NonFinite:
-            # the moment check squares the eigenvalues and the entries:
-            # that may leave the float range only near its top
-            parts = [x for v in (*expected, *(a * 2.0**k).ravel()) for x in (v.real, v.imag)]
-            assert max(map(abs, parts)) > 2.0**500
-        else:
-            assert values == expected
+            unit = cli.analysis_report(cli.analyze(a))
+        except (MomentMismatch, NonConvergence) as exc:
+            # the pipeline sees the same unit-scale matrix at every k
+            with pytest.raises(type(exc)):
+                cli.analyze(a * 2.0**k)
+            return
+        reports = (
+            (unit, lambda b: cli.analysis_report(cli.analyze(b))),
+            (cli.bound_report(a), cli.bound_report),
+        )
+        for report, make in reports:
+            # a value of A's report that is subnormal was rounded once already
+            assume(all(x == 0.0 or abs(x) >= sys.float_info.min for x in report_floats(report)))
+            try:
+                expected = scaled_report(report, k)
+            except OverflowError:
+                with pytest.raises(NonFinite):
+                    make(a * 2.0**k)
+            else:
+                got = make(a * 2.0**k)
+                assert got == expected and hex_floats(got) == hex_floats(expected)
 
     def test_subnormal_matrix_is_solved_exactly(self):
-        # numpy's complex division by a subnormal scale would overflow
-        assert eigenvalues(np.diag([1e-320, 0.0])).values == (0j, 1e-320 + 0j)
-        assert eigenvalues(np.diag([-5e-324, 5e-324])).values == (-5e-324 + 0j, 5e-324 + 0j)
+        def eigenvalues(entries):
+            report = cli.analysis_report(cli.analyze(np.array(entries, dtype=complex)))
+            return [complex(v["re"], v["im"]) for v in report["eigenvalues"]]
 
+        assert eigenvalues(np.diag([1e-320, 0.0])) == [0j, 1e-320 + 0j]
+        assert eigenvalues(np.diag([-5e-324, 5e-324])) == [-5e-324 + 0j, 5e-324 + 0j]
+
+
+class TestEigenvalues:
     def test_underflow_band_does_the_unit_scale_work(self, monkeypatch):
         # the root finder's work is a function of its input polynomial, so
         # equal polynomials mean an equal cost at 2^-800 and at unit scale
