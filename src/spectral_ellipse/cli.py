@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from . import matrix as mx
 from . import spectrum as sp
 from .ensembles import KINDS, EnsembleSpec, counter_value, generate
 from .matrixio import NonSquare, ParseError, load_matrix
-from .numerics import NonConvergence, NonFinite, principal_sqrt
+from .numerics import NonConvergence, NonFinite
 from .report import SCHEMA, canonical_json, complex_obj, csv_row, fmt_float
 from .spectrum import MomentMismatch
 from .svgplot import render_svg
@@ -91,7 +91,7 @@ def analyze(a, settings: PipelineSettings = PipelineSettings()) -> Analysis:
     ns = el.normalize_mu(v - d.gamma for v in spectrum.values)
     shape = el.ellipse_from_normalized(ns, n, center=d.gamma)
     containment = hl.contains_ellipse(hull, shape, settings.slack(spectrum.values))
-    bound = el.trace_only_bound(mx.trace(unit), d.q_total, n)
+    _, bound = el.trace_only_bound(d)
     return Analysis(d, spectrum, hull, e, ns, shape, containment, bound)
 
 
@@ -142,18 +142,7 @@ class TrialRecord:
     verdict: str
 
     def csv(self) -> str:
-        return csv_row(
-            (
-                self.seed,
-                self.n,
-                self.q_abs,
-                self.semimajor,
-                self.semiminor,
-                self.min_margin,
-                self.sweep_min,
-                self.verdict,
-            )
-        )
+        return csv_row(astuple(self))
 
 
 def run_trial(kind: str, n: int, trial_seed: int, settings: PipelineSettings) -> TrialRecord:
@@ -248,9 +237,9 @@ def bound_report(a) -> dict:
         report["trace_only_lower"] = None
         report["note"] = "dimension < 2"
         return report
-    f = principal_sqrt(d.q_traceless) / (math.sqrt(2.0) * (n - 1))
-    report["foci"] = [_scaled(d.gamma + f, e), _scaled(d.gamma - f, e)]
-    report["trace_only_lower"] = _scaled(el.trace_only_bound(mx.trace(unit), d.q_total, n), e)
+    foci, bound = el.trace_only_bound(d)
+    report["foci"] = [_scaled(f, e) for f in foci]
+    report["trace_only_lower"] = _scaled(bound, e)
     return report
 
 

@@ -6,7 +6,7 @@ u^2 = |q0|/q0 so its second power sum becomes the nonnegative real |q0|
 scale by 1/(sqrt(2)(n-1)).  The result is an ellipse with foci at
 +-sqrt(q0)/(sqrt(2)(n-1)) about the center that is guaranteed to lie inside
 the convex hull of the multiset.  Also provides the support function and the
-eigensolver-free spectral radius lower bound from tr A and tr A^2 alone.
+eigensolver-free spectral radius lower bound from gamma and Q(A0) alone.
 
 The sign of u is not observable: both branches give the same ellipse as a
 point set, and major_dir is canonicalized (nonnegative real part, ties
@@ -160,12 +160,12 @@ def support(e: SpectralEllipse, u: complex) -> float:
     return u.real * e.center.real + u.imag * e.center.imag + reach
 
 
-def trace_only_bound(tr_a: complex, q_a: complex, n: int) -> float:
-    """Spectral radius lower bound from tr A and tr(A^2) alone: the modulus
-    of the farther focus gamma +- sqrt(q_a - n*gamma^2)/(sqrt(2)(n-1))."""
-    if n < 2:
-        raise DimensionTooSmall(f"bound needs dimension >= 2, got {n}")
-    gamma = complex(tr_a) / n
-    q0 = complex(q_a) - n * gamma * gamma
-    f = principal_sqrt(q0) / (math.sqrt(2.0) * (n - 1))
-    return max(abs(gamma + f), abs(gamma - f))
+def trace_only_bound(d: Decomposition) -> tuple[tuple[complex, complex], float]:
+    """Eigensolver-free spectral radius lower bound: the foci
+    gamma +- sqrt(Q(A0))/(sqrt(2)(n-1)), with Q(A0) = tr(A0^2) of the
+    traceless part, and the modulus of the farther one."""
+    if d.n < 2:
+        raise DimensionTooSmall(f"bound needs dimension >= 2, got {d.n}")
+    f = principal_sqrt(d.q_traceless) / (math.sqrt(2.0) * (d.n - 1))
+    foci = (d.gamma + f, d.gamma - f)
+    return foci, max(abs(foci[0]), abs(foci[1]))

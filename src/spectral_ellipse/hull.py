@@ -100,15 +100,15 @@ def convex_hull(points) -> HullPolygon:
     if len(hull) < 2:
         hull = [uniq[0], uniq[-1]]
 
-    diameter = max(abs(p - q) for p in hull for q in hull)
+    far_p, far_q = max(
+        ((p, q) for p in hull for q in hull),
+        key=lambda pq: (abs(pq[0] - pq[1]), (pq[0].real, pq[0].imag, pq[1].real, pq[1].imag)),
+    )
+    diameter = abs(far_p - far_q)
 
     # collapse to a segment when every vertex hugs the extreme-pair line
     if len(hull) > 2:
-        far_p, far_q = max(
-            ((p, q) for p in hull for q in hull),
-            key=lambda pq: (abs(pq[0] - pq[1]), (pq[0].real, pq[0].imag, pq[1].real, pq[1].imag)),
-        )
-        axis = (far_q - far_p) / abs(far_q - far_p)
+        axis = (far_q - far_p) / diameter
         off_line = max(abs(((v - far_p) * axis.conjugate()).imag) for v in hull)
         if off_line <= SEGMENT_REL_TOL * diameter:
             ends = sorted((far_p, far_q), key=lambda z: (z.real, z.imag))

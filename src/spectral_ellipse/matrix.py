@@ -48,22 +48,6 @@ def power_of_two_scale(a: np.ndarray) -> tuple[np.ndarray, int]:
     return a * math.ldexp(1.0, half) * math.ldexp(1.0, -e - half), e
 
 
-def frobenius(a: np.ndarray) -> float:
-    """||A||_F without overflow or underflow in the sum of squares: the
-    np.linalg.norm of A at unit scale (`power_of_two_scale`), scaled back.
-
-    Matches np.linalg.norm(A) bit for bit wherever no square of an entry
-    underflows or overflows, and frobenius(2^k A) is 2^k frobenius(A)
-    exactly wherever both are normal floats.  Returns inf only when ||A||_F
-    itself exceeds the float range.
-    """
-    unit, e = power_of_two_scale(a)
-    try:
-        return math.ldexp(float(np.linalg.norm(unit, "fro")), e)
-    except OverflowError:
-        return math.inf
-
-
 def trace(a: np.ndarray) -> complex:
     return complex(np.trace(a))
 

@@ -3,6 +3,8 @@ floats (lossless float64 round trips) and matching CSV formatting."""
 
 from __future__ import annotations
 
+import json
+
 SCHEMA = "spectral-ellipse/1"
 
 
@@ -26,7 +28,7 @@ def _emit(obj, indent: int, out: list[str]) -> None:
     elif isinstance(obj, float):
         out.append(fmt_float(obj))
     elif isinstance(obj, str):
-        out.append(_escape(obj))
+        out.append(json.dumps(obj, ensure_ascii=False))
     elif isinstance(obj, (list, tuple)):
         if not obj:
             out.append("[]")
@@ -44,27 +46,12 @@ def _emit(obj, indent: int, out: list[str]) -> None:
         out.append("{\n")
         items = list(obj.items())
         for i, (key, value) in enumerate(items):
-            out.append(pad + "  " + _escape(str(key)) + ": ")
+            out.append(pad + "  " + json.dumps(str(key), ensure_ascii=False) + ": ")
             _emit(value, indent + 1, out)
             out.append(",\n" if i + 1 < len(items) else "\n")
         out.append(pad + "}")
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
-
-
-def _escape(s: str) -> str:
-    parts = ['"']
-    for ch in s:
-        if ch == '"':
-            parts.append('\\"')
-        elif ch == "\\":
-            parts.append("\\\\")
-        elif ord(ch) < 0x20:
-            parts.append(f"\\u{ord(ch):04x}")
-        else:
-            parts.append(ch)
-    parts.append('"')
-    return "".join(parts)
 
 
 def canonical_json(obj) -> str:

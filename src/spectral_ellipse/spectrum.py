@@ -48,8 +48,11 @@ def moment(values, k: int) -> complex:
 
 
 def moment_tol(a: np.ndarray, tol: float = DEFAULT_MOMENT_TOL) -> float:
-    """tol*(1 + ||A||_F)^2: absolute at small scale, relative at large."""
-    f = matrix.frobenius(a)
+    """tol*(1 + ||A||_F)^2 of the matrix as given.  The pipeline gives it A
+    at unit scale, where the limit is relative to the scale of the input."""
+    f = float(np.linalg.norm(a))
+    if f == math.inf:  # numpy's sum of squares overflows first; hypot does not
+        f = math.hypot(*np.abs(a).ravel())
     try:
         return tol * (1.0 + f) ** 2
     except OverflowError:  # f is far above 2^53 here, so 1 + f == f
@@ -59,16 +62,17 @@ def moment_tol(a: np.ndarray, tol: float = DEFAULT_MOMENT_TOL) -> float:
 def eigenvalues(a: np.ndarray, tol: float = DEFAULT_MOMENT_TOL) -> Spectrum:
     """All eigenvalues of a, counted by multiplicity, sorted by (re, im).
 
-    The matrix is divided by ||A||_F / sqrt(n) before the characteristic
-    polynomial is formed, which keeps the root finder's initial circle near
-    the spectrum; roots are multiplied back afterwards.  The pipeline calls
-    this on a matrix already at unit scale (`matrix.power_of_two_scale`, in
-    `cli`), where neither step can overflow or underflow; far from unit
-    scale the result may be NonFinite.  The zero matrix gets its exact
-    spectrum of n zeros without a solve.  Raises MomentMismatch when the
-    power sums disagree with tr A or tr(A^2) beyond moment_tol(a, tol),
-    NonFinite when an eigenvalue or a moment residual leaves the float
-    range, and propagates NonConvergence from the root finder.
+    The matrix is divided by ||A||_F / sqrt(n) (np.linalg.norm) before the
+    characteristic polynomial is formed, which keeps the root finder's
+    initial circle near the spectrum; roots are multiplied back afterwards.
+    The core expects A at unit scale: `cli` puts it there once
+    (`matrix.power_of_two_scale`), where neither the norm nor either step
+    can overflow or underflow; far from unit scale the result may be
+    NonFinite.  The zero matrix gets its exact spectrum of n zeros without
+    a solve.  Raises MomentMismatch when the power sums disagree with tr A
+    or tr(A^2) beyond moment_tol(a, tol), NonFinite when an eigenvalue or a
+    moment residual leaves the float range, and propagates NonConvergence
+    from the root finder.
     """
     a = np.asarray(a, dtype=complex)
     n = a.shape[0]
@@ -79,7 +83,7 @@ def eigenvalues(a: np.ndarray, tol: float = DEFAULT_MOMENT_TOL) -> Spectrum:
     if not a.any():
         return Spectrum(values=(0j,) * n, sum_residual=0.0, q_residual=0.0)
 
-    scale = matrix.frobenius(a) / math.sqrt(n)
+    scale = float(np.linalg.norm(a)) / math.sqrt(n)
     roots = find_roots(matrix.char_poly(a / scale))
     lams = tuple(sorted((scale * r for r in roots), key=lambda z: (z.real, z.imag)))
 

@@ -16,6 +16,7 @@ from spectral_ellipse.numerics import NonConvergence
 from spectral_ellipse.report import canonical_json, fmt_float
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+GOLDEN_INPUTS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "inputs")
 
 
 def write_json_matrix(path, entries, n):
@@ -811,6 +812,52 @@ class TestBound:
         report = json.loads(capsys.readouterr().out)
         assert report["trace_only_lower"] is None
         assert report["note"] == "dimension < 2"
+
+
+def shifted_file(tmp_path, gamma):
+    """[[gamma + 1, 0.5], [0.25, gamma - 1]]: Q(A0) = 2.25, foci gamma +- 1.0607."""
+    entries = [[gamma + 1, 0], [0.5, 0], [0.25, 0], [gamma - 1, 0]]
+    return write_json_matrix(tmp_path / f"shifted_{gamma:g}.json", entries, 2)
+
+
+def farther_focus(report):
+    return max(abs(complex(f["re"], f["im"])) for f in report["foci"])
+
+
+class TestTraceOnlyLower:
+    """`bound` and `analyze` report the modulus of the farther of the foci
+    gamma +- sqrt(Q(A0))/(sqrt(2)(n-1)), bit for bit, however large gamma is."""
+
+    @pytest.mark.parametrize(
+        "gamma, foci", [(1e8, [100000001.06066017, 99999998.93933983]), (1e12, [1000000000001.0607, 999999999998.9393])]
+    )
+    def test_large_gamma(self, tmp_path, capsys, gamma, foci):
+        assert cli.main(["bound", shifted_file(tmp_path, gamma)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert [f["re"] for f in report["foci"]] == foci
+        assert report["trace_only_lower"] == foci[0] == farther_focus(report)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(2, 6).flatmap(
+            lambda n: st.lists(st.floats(-1, 1), min_size=2 * n * n, max_size=2 * n * n)
+        ),
+        st.complex_numbers(min_magnitude=1e4, max_magnitude=1e14, allow_nan=False, allow_infinity=False),
+    )
+    def test_is_the_farther_focus_under_a_large_shift(self, parts, gamma):
+        n = math.isqrt(len(parts) // 2)
+        a = (np.array(parts[0::2]) + 1j * np.array(parts[1::2])).reshape(n, n) + gamma * np.eye(n)
+        report = cli.bound_report(a)
+        assert report["trace_only_lower"] == farther_focus(report)
+
+    @pytest.mark.parametrize("name", sorted(os.listdir(GOLDEN_INPUTS)) + ["shifted"])
+    def test_analyze_reports_the_bound_of_bound(self, tmp_path, capsys, name):
+        path = shifted_file(tmp_path, 1e8) if name == "shifted" else os.path.join(GOLDEN_INPUTS, name)
+        assert cli.main(["bound", path]) == 0
+        bound = json.loads(capsys.readouterr().out)
+        assert cli.main(["analyze", path]) == 0
+        analyzed = json.loads(capsys.readouterr().out)
+        assert analyzed["bounds"]["trace_only_lower"] == bound["trace_only_lower"]
 
 
 class TestReportInvariants:

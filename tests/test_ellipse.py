@@ -265,20 +265,27 @@ class TestSupport:
             support(seg, 0j)
 
 
+def diag_bound(values):
+    return trace_only_bound(decompose(np.diag(np.asarray(values, dtype=complex))))
+
+
 class TestTraceOnlyBound:
     def test_nilpotent_data(self):
-        assert trace_only_bound(0, 0, 2) == 0
+        assert trace_only_bound(decompose(np.array([[0, 1], [0, 0]], dtype=complex))) == ((0, 0), 0)
 
     def test_diag_two_values(self):
-        # gamma = 2, q0 = 10 - 2*4 = 2, focus shift 1: bound max(|3|, |1|) = 3
-        assert trace_only_bound(4, 10, 2) == 3
+        # gamma = 2, Q(A0) = 2, focus shift 1: foci 3 and 1, bound 3
+        assert diag_bound((1, 3)) == ((3, 1), 3)
 
     def test_extremal_n3(self):
-        assert abs(trace_only_bound(0, 6, 3) - math.sqrt(3) / 2) < 1e-14
+        # gamma = 0, Q(A0) = 6
+        foci, bound = diag_bound((-1, -1, 2))
+        assert abs(bound - math.sqrt(3) / 2) < 1e-14
+        assert bound == max(abs(f) for f in foci)
 
     def test_dimension(self):
         with pytest.raises(DimensionTooSmall):
-            trace_only_bound(1, 1, 1)
+            trace_only_bound(decompose(np.array([[1]], dtype=complex)))
 
     def test_never_exceeds_observed_radius(self):
         for _ in range(200):
@@ -286,7 +293,6 @@ class TestTraceOnlyBound:
             lam, _ = traceless_multiset(n, scale=2.0)
             shift = complex(RNG.uniform(-1, 1), RNG.uniform(-1, 1))
             full = tuple(v + shift for v in lam)
-            tr = sum(full)
-            q = sum(v * v for v in full)
             rho = max(abs(v) for v in full)
-            assert trace_only_bound(tr, q, n) <= rho + 1e-8 * (1 + rho)
+            _, bound = diag_bound(full)
+            assert bound <= rho + 1e-8 * (1 + rho)

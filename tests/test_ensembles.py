@@ -18,7 +18,7 @@ from spectral_ellipse.ensembles import (
     generate,
     reference_spectrum,
 )
-from spectral_ellipse.matrix import as_matrix, condition_estimate, frobenius, q_form, trace
+from spectral_ellipse.matrix import as_matrix, condition_estimate, q_form, trace
 from spectral_ellipse.spectrum import eigenvalues
 
 
@@ -223,7 +223,7 @@ class TestGenerate:
     def test_ginibre_scale(self):
         # entries (g1 + i g2)/sqrt(2n): Frobenius norm concentrates near sqrt(n)
         a = generate(EnsembleSpec("Ginibre", 16, 21))
-        assert 0.5 * 4 < frobenius(a) < 1.5 * 4
+        assert 0.5 * 4 < np.linalg.norm(a) < 1.5 * 4
 
 
 class TestReferenceSpectrum:

@@ -1,13 +1,12 @@
 """Scale: a matrix's power-of-two scale changes neither the cost nor the
-answer of the Frobenius norm, the eigensolve and the `analyze` and `bound`
-reports.
+answer of the eigensolve and the `analyze` and `bound` reports.
 
 Scaling by 2^k is exact in floating point wherever the values stay normal,
-so `frobenius` and the reports must commute with it bit for bit there.  The
-matrices below have normal entries whose parts lie in [2^-20, 2^21) or are
-zero, so 2^k A stays normal for every k in [-1000, 1000].  Near the top of
-that range a reported value (a q value first) may leave the float range,
-which the reports raise as NonFinite.
+so the reports must commute with it bit for bit there.  The matrices below
+have normal entries whose parts lie in [2^-20, 2^21) or are zero, so 2^k A
+stays normal for every k in [-1000, 1000].  Near the top of that range a
+reported value (a q value first) may leave the float range, which the
+reports raise as NonFinite.
 """
 
 import contextlib
@@ -23,9 +22,8 @@ from hypothesis import strategies as st
 
 from spectral_ellipse import cli, spectrum
 from spectral_ellipse.ensembles import EnsembleSpec, generate
-from spectral_ellipse.matrix import frobenius
 from spectral_ellipse.numerics import NonConvergence, NonFinite
-from spectral_ellipse.spectrum import MomentMismatch, eigenvalues
+from spectral_ellipse.spectrum import MomentMismatch
 
 SCALES = st.integers(-1000, 1000)
 
@@ -46,45 +44,6 @@ def normal_matrices(draw):
     parts = draw(st.lists(part, min_size=2 * n * n, max_size=2 * n * n))
     a = np.array(parts[0::2]) + 1j * np.array(parts[1::2])
     return a.reshape(n, n)
-
-
-class TestFrobenius:
-    @settings(max_examples=100, deadline=None)
-    @given(normal_matrices(), SCALES)
-    def test_commutes_with_powers_of_two(self, a, k):
-        assert frobenius(a * 2.0**k) == math.ldexp(frobenius(a), k)
-
-    @settings(max_examples=100, deadline=None)
-    @given(normal_matrices(), SCALES)
-    def test_is_numpy_norm_in_plain_range(self, a, k):
-        # parts span at most 2^41 here, so within [2^-450, 2^450] no square
-        # of a part underflows or overflows
-        scaled = a * 2.0**k
-        m = max(np.max(np.abs(scaled.real)), np.max(np.abs(scaled.imag)))
-        assume(2.0**-450 <= m <= 2.0**450)
-        assert frobenius(scaled) == float(np.linalg.norm(scaled, "fro"))
-
-    def test_is_numpy_norm_on_unit_scale_gaussians(self):
-        rng = np.random.default_rng(5)
-        for n in (2, 3, 8, 16, 33, 64):
-            for _ in range(20):
-                a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-                assert frobenius(a) == float(np.linalg.norm(a, "fro"))
-
-    @settings(max_examples=100, deadline=None)
-    @given(normal_matrices(), SCALES)
-    def test_matches_scale_safe_hypot(self, a, k):
-        scaled = a * 2.0**k
-        ref = math.hypot(*scaled.real.ravel(), *scaled.imag.ravel())
-        assert abs(frobenius(scaled) - ref) <= 1e-14 * ref
-
-    def test_far_ends(self):
-        tiny = np.array([[5e-324, 0.0], [1e-320, 0.0]])
-        assert frobenius(tiny) == math.hypot(5e-324, 1e-320) > 0.0
-        big = 2.0**1000 * np.array([[1.0, 2.0], [3.0, -1.0]])
-        assert frobenius(big) == math.ldexp(math.sqrt(15.0), 1000)
-        assert frobenius(2.0**1023 * np.ones((2, 2))) == math.inf
-        assert frobenius(np.zeros((3, 3))) == 0.0
 
 
 Q_KEYS = ("q_total", "q_traceless")
@@ -163,7 +122,8 @@ class TestAnalyze:
 class TestEigenvalues:
     def test_underflow_band_does_the_unit_scale_work(self, monkeypatch):
         # the root finder's work is a function of its input polynomial, so
-        # equal polynomials mean an equal cost at 2^-800 and at unit scale
+        # equal polynomials mean an equal cost at 2^-800 and at unit scale;
+        # the eigensolve expects unit scale, which `cli.analyze` chooses
         polynomials = []
 
         def recording_find_roots(coeffs):
@@ -173,10 +133,10 @@ class TestEigenvalues:
         spectrum_find_roots = spectrum.find_roots
         monkeypatch.setattr(spectrum, "find_roots", recording_find_roots)
         a = generate(EnsembleSpec("Ginibre", 32, 5))
-        unit = eigenvalues(a).values
-        tiny = eigenvalues(a * 2.0**-800).values
+        unit = cli.analysis_report(cli.analyze(a))["eigenvalues"]
+        tiny = cli.analysis_report(cli.analyze(a * 2.0**-800))["eigenvalues"]
         assert np.array_equal(polynomials[0], polynomials[1])
-        assert tiny == tuple(v * 2.0**-800 for v in unit)
+        assert tiny == [{"re": v["re"] * 2.0**-800, "im": v["im"] * 2.0**-800} for v in unit]
 
 
 class TestSubnormalInputs:

@@ -5,6 +5,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 SCRIPTS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scripts")
 
 
@@ -42,3 +44,11 @@ def test_render_gallery_rejects_dimension_below_two(tmp_path):
         assert proc.returncode == 2
         assert "usage:" in proc.stderr and "Traceback" not in proc.stderr
     assert not (tmp_path / "tmp").exists()
+
+
+@pytest.mark.parametrize("args", [("--sizes", "1"), ("--sweep-k", "2"), ("--trials", "0")])
+def test_bulk_verify_rejects_bad_arguments(args):
+    proc = run_script("bulk_verify.py", *args)
+    assert proc.returncode == 2
+    assert "usage:" in proc.stderr and "Traceback" not in proc.stderr
+    assert proc.stdout == ""
