@@ -15,16 +15,16 @@ import time
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
 
 from spectral_ellipse import hull as hl
-from spectral_ellipse.cli import PipelineSettings, _int_at_least, run_verify
+from spectral_ellipse.cli import PipelineSettings, _at_least, run_verify
 from spectral_ellipse.ensembles import KINDS
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--trials", type=_int_at_least(1), default=100)
+    parser.add_argument("--trials", type=_at_least(1), default=100)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--sizes", type=_int_at_least(2), nargs="+", default=[2, 3, 4, 8, 16])
-    parser.add_argument("--sweep-k", type=_int_at_least(4), default=720)
+    parser.add_argument("--sizes", type=_at_least(2), nargs="+", default=[2, 3, 4, 8, 16])
+    parser.add_argument("--sweep-k", type=_at_least(4), default=720)
     args = parser.parse_args()
 
     settings = PipelineSettings(sweep_k=args.sweep_k)

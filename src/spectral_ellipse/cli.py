@@ -52,8 +52,10 @@ class PipelineSettings:
 @dataclass(frozen=True)
 class Analysis:
     """Everything the pipeline computes for one matrix A, each part once, for
-    A at unit scale, A * 2^-exponent: reports scale lengths by 2^exponent and
-    q values by 4^exponent.  The last four are None when n = 1 (no ellipse)."""
+    A at unit scale, A * 2^-exponent, and all but the decomposition and bound
+    for its traceless part A0: reports add gamma to each point, then scale
+    lengths by 2^exponent and q values by 4^exponent.  The last four are
+    None when n = 1 (no ellipse)."""
 
     decomposition: mx.Decomposition
     spectrum: sp.Spectrum
@@ -78,41 +80,45 @@ def _scaled(z, e: int):
 
 def analyze(a, settings: PipelineSettings = PipelineSettings()) -> Analysis:
     """The pipeline, on A at unit scale (so every tolerance is relative):
-    decompose, eigensolve, hull; then normalize the spectrum shifted by gamma,
-    build the ellipse centered at gamma, certify containment, and take the
-    trace-only bound."""
+    decompose; eigensolve the traceless part A0 at its own unit scale (no
+    gamma cluster, no underflow of its norm) and scale its eigenvalues back;
+    hull, normalize, ellipse centered at 0, containment, trace-only bound."""
     n = a.shape[0]
     unit, e = mx.power_of_two_scale(a)
     d = mx.decompose(unit)
-    spectrum = sp.eigenvalues(unit, settings.moment_tol)
+    a0, e0 = mx.power_of_two_scale(d.traceless_part)
+    mu = sp.eigenvalues(a0, settings.moment_tol)
+    back = tuple(complex(math.ldexp(v.real, e0), math.ldexp(v.imag, e0)) for v in mu.values)
+    spectrum = sp.Spectrum(back, math.ldexp(mu.sum_residual, e0), math.ldexp(mu.q_residual, 2 * e0))
     hull = hl.convex_hull(spectrum.values)
     if n < 2:
         return Analysis(d, spectrum, hull, e, None, None, None, None)
-    ns = el.normalize_mu(v - d.gamma for v in spectrum.values)
-    shape = el.ellipse_from_normalized(ns, n, center=d.gamma)
+    ns = el.normalize_mu(spectrum.values)
+    shape = el.ellipse_from_normalized(ns, n)
     containment = hl.contains_ellipse(hull, shape, settings.slack(spectrum.values))
     _, bound = el.trace_only_bound(d)
     return Analysis(d, spectrum, hull, e, ns, shape, containment, bound)
 
 
 def analysis_report(an: Analysis) -> dict:
-    """The JSON report of `analyze`, at the scale of the input."""
+    """The JSON report of `analyze`, in A's frame and at the scale of the input."""
     d, shape, containment, e = an.decomposition, an.ellipse, an.containment, an.exponent
+    lam = [d.gamma + v for v in an.spectrum.values]
     report = {
         "schema": SCHEMA,
         "n": d.n,
         "gamma": _scaled(d.gamma, e),
         "q_total": _scaled(d.q_total, 2 * e),
         "q_traceless": _scaled(d.q_traceless, 2 * e),
-        "eigenvalues": [_scaled(v, e) for v in an.spectrum.values],
+        "eigenvalues": [_scaled(v, e) for v in lam],
         "ellipse": None if shape is None else {
-            "center": _scaled(shape.center, e),
+            "center": _scaled(d.gamma, e),
             "semimajor": _scaled(shape.semimajor, e),
             "semiminor": _scaled(shape.semiminor, e),
             "major_dir_angle_rad": math.atan2(shape.major_dir.imag, shape.major_dir.real),
-            "foci": [_scaled(f, e) for f in shape.foci],
+            "foci": [_scaled(d.gamma + f, e) for f in shape.foci],
         },
-        "hull_vertices": [_scaled(v, e) for v in an.hull.vertices],
+        "hull_vertices": [_scaled(d.gamma + v, e) for v in an.hull.vertices],
         "containment": None if containment is None else {
             "verdict": containment.verdict,
             "min_margin": _scaled(containment.min_margin, e),
@@ -122,7 +128,7 @@ def analysis_report(an: Analysis) -> dict:
         },
         "bounds": {
             "trace_only_lower": None if an.bound is None else _scaled(an.bound, e),
-            "observed_spectral_radius": _scaled(max(abs(v) for v in an.spectrum.values), e),
+            "observed_spectral_radius": _scaled(max(abs(v) for v in lam), e),
         },
     }
     if shape is None:
@@ -243,16 +249,17 @@ def bound_report(a) -> dict:
     return report
 
 
-def _int_at_least(minimum: int):
-    """argparse type: an int >= minimum; anything else is a usage error."""
+def _at_least(minimum, convert=int):
+    """argparse type: a finite value >= minimum, else a usage error (a NaN
+    --tol would pass every moment check, an inf --slack certify anything)."""
 
-    def parse(text: str) -> int:
-        value = int(text)
-        if value < minimum:
-            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+    def parse(text: str):
+        value = convert(text)
+        if not minimum <= value < math.inf:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum} and finite, got {text}")
         return value
 
-    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    parse.__name__ = convert.__name__  # argparse names the type in "invalid int value"
     return parse
 
 
@@ -269,23 +276,23 @@ def _build_parser() -> argparse.ArgumentParser:
     pa = sub.add_parser("analyze", help="full pipeline report for one matrix file")
     pa.add_argument("path")
     pa.add_argument("--format", choices=("mtx", "json"), default=None)
-    pa.add_argument("--tol", type=float, default=1e-8, help="moment tolerance scale")
-    pa.add_argument("--slack", type=float, default=1e-8, help="containment slack scale")
+    pa.add_argument("--tol", type=_at_least(0.0, float), default=1e-8, help="moment tolerance scale")
+    pa.add_argument("--slack", type=_at_least(0.0, float), default=1e-8, help="containment slack scale")
     pa.add_argument("--json", dest="json_path", default=None, help="also write the report here")
     pa.add_argument("--svg", dest="svg_path", default=None, help="write an SVG plot here")
 
     pv = sub.add_parser("verify", help="seeded ensemble verification campaign")
     pv.add_argument("--ensemble", choices=KINDS, required=True)
-    pv.add_argument("-n", "--dimension", dest="n", type=_int_at_least(2), required=True)
-    pv.add_argument("--trials", type=_int_at_least(1), default=100)
+    pv.add_argument("-n", "--dimension", dest="n", type=_at_least(2), required=True)
+    pv.add_argument("--trials", type=_at_least(1), default=100)
     pv.add_argument("--seed", type=int, default=0)
-    pv.add_argument("--tol", type=float, default=1e-8)
-    pv.add_argument("--slack", type=float, default=1e-8)
-    pv.add_argument("--sweep-k", type=_int_at_least(4), default=720)
+    pv.add_argument("--tol", type=_at_least(0.0, float), default=1e-8)
+    pv.add_argument("--slack", type=_at_least(0.0, float), default=1e-8)
+    pv.add_argument("--sweep-k", type=_at_least(4), default=720)
     pv.add_argument("--csv", dest="csv_path", default=None, help="write the trial CSV here")
 
     pt = sub.add_parser("tightness", help="extremal family table for n = 2..n_max")
-    pt.add_argument("n_max", type=_int_at_least(2))
+    pt.add_argument("n_max", type=_at_least(2))
 
     pb = sub.add_parser("bound", help="trace-only spectral radius lower bound")
     pb.add_argument("path")

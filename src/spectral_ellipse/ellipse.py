@@ -4,8 +4,8 @@ Pipeline: rotate a traceless eigenvalue multiset by the unit phase u with
 u^2 = |q0|/q0 so its second power sum becomes the nonnegative real |q0|
 (identity when q0 = 0), form the root-sum-square axis sums R and I, and
 scale by 1/(sqrt(2)(n-1)).  The result is an ellipse with foci at
-+-sqrt(q0)/(sqrt(2)(n-1)) about the center that is guaranteed to lie inside
-the convex hull of the multiset.  Also provides the support function and the
++-sqrt(q0)/(sqrt(2)(n-1)) about 0 that is guaranteed to lie inside the
+convex hull of the multiset.  Also provides the support function and the
 eigensolver-free spectral radius lower bound from gamma and Q(A0) alone.
 
 The sign of u is not observable: both branches give the same ellipse as a
@@ -52,11 +52,11 @@ class AxisSums:
 
 @dataclass(frozen=True)
 class SpectralEllipse:
-    """Closed ellipse: center, semiaxes a >= b, unit major-axis direction,
-    foci at center +- sqrt(a^2-b^2)*major_dir.  Degenerate shapes (segment
-    b=0, point a=b=0) are first-class values."""
+    """Closed ellipse of a traceless spectrum, centered at 0 (the reports add
+    gamma): semiaxes a >= b, unit major-axis direction, foci +-c*major_dir
+    with c = sqrt(|q0|)/(sqrt(2)(n-1)).  Degenerate shapes (segment b=0,
+    point a=b=0) are first-class values."""
 
-    center: complex
     semimajor: float
     semiminor: float
     major_dir: complex
@@ -105,9 +105,7 @@ def _canonical_dir(d: complex) -> complex:
     return d
 
 
-def ellipse_from_normalized(
-    ns: NormalizedSpectrum, n: int, center: complex = 0.0 + 0.0j
-) -> SpectralEllipse:
+def ellipse_from_normalized(ns: NormalizedSpectrum, n: int) -> SpectralEllipse:
     """Build the ellipse for an already normalized spectrum of order n."""
     if n < 2:
         raise DimensionTooSmall(f"ellipse needs dimension >= 2, got {n}")
@@ -122,15 +120,12 @@ def ellipse_from_normalized(
         a, b = b, a
         direction *= 1j
     direction = _canonical_dir(direction)
-    c = math.sqrt(max(a * a - b * b, 0.0))
-    center = complex(center)
-    focus = c * direction
+    focus = math.sqrt(ns.q_abs) * k * direction
     return SpectralEllipse(
-        center=center,
         semimajor=a,
         semiminor=b,
         major_dir=direction,
-        foci=(center + focus, center - focus),
+        foci=(focus, -focus),
         order_n=n,
     )
 
@@ -146,18 +141,17 @@ def inscribed_ellipse(lambdas, n: int) -> SpectralEllipse:
 
 
 def shifted_ellipse(d: Decomposition, spec: Spectrum) -> SpectralEllipse:
-    """Ellipse of the traceless part translated to the mean eigenvalue gamma."""
-    return ellipse_from_normalized(normalize_mu(v - d.gamma for v in spec.values), d.n, center=d.gamma)
+    """Ellipse of A centered at 0 (add d.gamma to place it), from the spectrum of d.traceless_part."""
+    return ellipse_from_normalized(normalize_mu(spec.values), d.n)
 
 
 def support(e: SpectralEllipse, u: complex) -> float:
-    """Support function max over the closed ellipse of Re(conj(u) z)."""
+    """Support function max over the closed ellipse (centered at 0) of Re(conj(u) z)."""
     if u == 0:
         raise ZeroDirection("direction 0 has no support value")
     along = (u.conjugate() * e.major_dir).real
     across = (u.conjugate() * (1j * e.major_dir)).real
-    reach = math.hypot(e.semimajor * along, e.semiminor * across)
-    return u.real * e.center.real + u.imag * e.center.imag + reach
+    return math.hypot(e.semimajor * along, e.semiminor * across)
 
 
 def trace_only_bound(d: Decomposition) -> tuple[tuple[complex, complex], float]:

@@ -190,11 +190,7 @@ def _sweep_phase(coeffs, z, budget, compensated):
 _POLISH_BUDGET = 60
 
 
-def find_roots(
-    coeffs: np.ndarray,
-    tol: float = DEFAULT_ROOT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> tuple[complex, ...]:
+def find_roots(coeffs: np.ndarray) -> tuple[complex, ...]:
     """All roots of the polynomial with ascending coefficients `coeffs`, by
     damped simultaneous (Aberth-Ehrlich) iteration.
 
@@ -205,8 +201,8 @@ def find_roots(
     polishes them below the plain noise floor so that multiple roots return
     as tight clusters whose power sums match the coefficients.  Returns exactly
     degree values sorted lexicographically by (re, im); multiple roots are
-    never merged.  Each returned r satisfies |p(r)| <= tol*(1 + max|c_k|)
-    up to the compensated evaluation floor.
+    never merged.  Each returned r satisfies |p(r)| <= DEFAULT_ROOT_TOL*(1 +
+    max|c_k|) up to the compensated evaluation floor.
     """
     coeffs = np.asarray(coeffs, dtype=complex)
     if coeffs.ndim != 1 or coeffs.size < 2:
@@ -223,20 +219,20 @@ def find_roots(
     if deg == 1:
         return (complex(-coeffs[0]),)
 
-    scale = 1.0 + float(np.max(np.abs(coeffs)))
+    limit = DEFAULT_ROOT_TOL * (1.0 + float(np.max(np.abs(coeffs))))
     radius = 1.0 + float(np.max(np.abs(coeffs[:-1])))
     k = np.arange(deg)
     z = radius * np.exp(1j * (2.0 * math.pi * k / deg + _GOLDEN_ANGLE * k))
 
-    z = _sweep_phase(coeffs, z, max_iter, compensated=False)
-    z = _sweep_phase(coeffs, z, min(_POLISH_BUDGET, max_iter), compensated=True)
+    z = _sweep_phase(coeffs, z, DEFAULT_MAX_ITER, compensated=False)
+    z = _sweep_phase(coeffs, z, min(_POLISH_BUDGET, DEFAULT_MAX_ITER), compensated=True)
 
     pz, dpz, bound = _comp_horner_all(coeffs, z)
     res = np.abs(pz)
     floor = 4.0 * deg * deg * _EPS * _EPS * bound + np.abs(dpz) * (_EPS * np.abs(z))
-    if not bool(np.all((res <= tol * scale) | (res <= floor))):
+    if not bool(np.all((res <= limit) | (res <= floor))):
         raise NonConvergence(
-            f"residuals not below {tol * scale:.3e} after {max_iter} iterations "
+            f"residuals not below {limit:.3e} after {DEFAULT_MAX_ITER} iterations "
             f"(worst {float(res.max()):.3e})",
             tuple(float(r) for r in res),
         )

@@ -48,8 +48,8 @@ def moment(values, k: int) -> complex:
 
 
 def moment_tol(a: np.ndarray, tol: float = DEFAULT_MOMENT_TOL) -> float:
-    """tol*(1 + ||A||_F)^2 of the matrix as given.  The pipeline gives it A
-    at unit scale, where the limit is relative to the scale of the input."""
+    """tol*(1 + ||A||_F)^2 of the matrix as given.  The pipeline gives it A0
+    at its own unit scale, where the limit is relative to the scale of A0."""
     f = float(np.linalg.norm(a))
     if f == math.inf:  # numpy's sum of squares overflows first; hypot does not
         f = math.hypot(*np.abs(a).ravel())
@@ -65,7 +65,7 @@ def eigenvalues(a: np.ndarray, tol: float = DEFAULT_MOMENT_TOL) -> Spectrum:
     The matrix is divided by ||A||_F / sqrt(n) (np.linalg.norm) before the
     characteristic polynomial is formed, which keeps the root finder's
     initial circle near the spectrum; roots are multiplied back afterwards.
-    The core expects A at unit scale: `cli` puts it there once
+    It expects its matrix at unit scale: `cli` puts A0 there
     (`matrix.power_of_two_scale`), where neither the norm nor either step
     can overflow or underflow; far from unit scale the result may be
     NonFinite.  The zero matrix gets its exact spectrum of n zeros without

@@ -3,7 +3,8 @@ inscribed ellipse.
 
 Fixed 800x800 viewport, equal x/y scale, 5% padding around the hull bounding
 box.  The ellipse is drawn as two arc segments between its major vertices so
-degenerate (flat) ellipses render as their segment.
+degenerate (flat) ellipses render as their segment.  With the view centered
+on the hull and no axes, gamma and 2^exponent would not move a pixel.
 """
 
 from __future__ import annotations
@@ -69,8 +70,7 @@ def render_svg(an: Analysis) -> str:
         rx = e.semimajor * scale
         ry = e.semiminor * scale
         rot = -math.degrees(math.atan2(e.major_dir.imag, e.major_dir.real))
-        p1 = to_svg(e.center + e.semimajor * e.major_dir)
-        p2 = to_svg(e.center - e.semimajor * e.major_dir)
+        p1, p2 = (to_svg(s * e.semimajor * e.major_dir) for s in (1.0, -1.0))
         parts.append(
             f'<path d="M {_fmt(p1[0])} {_fmt(p1[1])} '
             f'A {_fmt(rx)} {_fmt(ry)} {_fmt(rot)} 0 1 {_fmt(p2[0])} {_fmt(p2[1])} '

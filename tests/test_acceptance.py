@@ -75,12 +75,13 @@ def run_campaign_trial(kind: str, n: int, seed: int) -> Trial:
         an = cli.analyze(a)
     except sp.MomentMismatch:
         return Trial(kind=kind, n=n, seed=seed, frob=frob, mismatch=True)
-    # the Analysis is at unit scale; every field below is taken back to the
-    # scale of A, where frob and each criterion's threshold are
+    # the Analysis is at unit scale and in the traceless frame; every field
+    # below is taken back to A, gamma + mu at the scale of A, where frob and
+    # each criterion's threshold are
     length, square = 2.0**an.exponent, 4.0**an.exponent
-    d, spectrum, ns = an.decomposition, an.spectrum, an.normalized
+    d, ns = an.decomposition, an.normalized
     gamma = d.gamma * length
-    values = [v * length for v in spectrum.values]
+    values = [gamma + v * length for v in an.spectrum.values]
     sweep = hl.sweep_margins(ns, el.axis_sums(ns), n, SWEEP_K)
     return Trial(
         kind=kind,
@@ -91,8 +92,8 @@ def run_campaign_trial(kind: str, n: int, seed: int) -> Trial:
         q_total=d.q_total * square,
         q_traceless=d.q_traceless * square,
         dec1_residual=abs(d.q_total - (n * d.gamma**2 + d.q_traceless)) * square,
-        sum_residual=spectrum.sum_residual * length,
-        q_residual=spectrum.q_residual * square,
+        sum_residual=abs(sp.moment(values, 1) - mx.trace(a)),
+        q_residual=abs(sp.moment(values, 2) - mx.q_form(a)),
         rho=max(abs(v) for v in values),
         shifted_power=sum(abs(v - gamma) ** 2 for v in values),
         max_mu=max(abs(v) for v in ns.mu) * length,
@@ -149,11 +150,12 @@ def test_criterion_2_two_by_two_tightness():
         an = cli.analyze(generate(EnsembleSpec(kind="Ginibre", n=2, seed=seed)))
         # back from unit scale to the matrix's, where the thresholds are
         length, containment = 2.0**an.exponent, an.containment
-        values = [v * length for v in an.spectrum.values]
+        gamma = an.decomposition.gamma * length
+        values = [gamma + v * length for v in an.spectrum.values]
         scale = 1e-9 * (1.0 + max(abs(v) for v in values))
         remaining = list(values)
         worst = 0.0
-        for f in (f * length for f in an.ellipse.foci):
+        for f in (gamma + f * length for f in an.ellipse.foci):
             j = min(range(len(remaining)), key=lambda i: abs(f - remaining[i]))
             worst = max(worst, abs(f - remaining[j]))
             remaining.pop(j)
@@ -221,10 +223,10 @@ def test_criterion_4_moment_identities(campaign):
 def ellipse_at_input_scale(a):
     """Center, semiaxes and major direction of the ellipse of `analyze`,
     taken back from unit scale to the scale of a: A and T^-1 A T may have
-    different unit scales."""
+    different unit scales.  The ellipse is centered at gamma."""
     an = cli.analyze(mx.as_matrix(a))
     e, length = an.ellipse, 2.0**an.exponent
-    return e.center * length, e.semimajor * length, e.semiminor * length, e.major_dir
+    return an.decomposition.gamma * length, e.semimajor * length, e.semiminor * length, e.major_dir
 
 
 def test_criterion_5_similarity_invariance():

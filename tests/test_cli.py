@@ -1,8 +1,12 @@
+import contextlib
+import io
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -755,6 +759,28 @@ class TestUsageErrors:
         assert "usage:" in err and "must be >=" in err
         assert "Traceback" not in err
 
+    # a NaN tolerance passes every `residual > limit` test, a negative slack
+    # fails every margin and an infinite one certifies any ellipse
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1"])
+    @pytest.mark.parametrize(
+        "command, flag",
+        [("analyze", "--tol"), ("analyze", "--slack"), ("verify", "--tol"), ("verify", "--slack")],
+        ids=["analyze-tol", "analyze-slack", "verify-tol", "verify-slack"],
+    )
+    def test_scale_settings_are_finite_and_nonnegative(self, tmp_path, capsys, command, flag, value):
+        target = [diag13_file(tmp_path)] if command == "analyze" else ["--ensemble", "Ginibre", "-n", "3"]
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, *target, f"{flag}={value}"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "usage:" in err and f"argument {flag}: must be >= 0.0 and finite" in err
+
+    @pytest.mark.parametrize("flag", ["--tol", "--slack"])
+    def test_zero_scale_setting_is_accepted(self, tmp_path, capsys, flag):
+        path = write_json_matrix(tmp_path / "i2.json", [[1, 0], [0, 0], [0, 0], [1, 0]], 2)
+        assert cli.main(["analyze", path, flag, "0"]) == 0
+        assert json.loads(capsys.readouterr().out)["containment"]["verdict"] == "Contained"
+
 
 class TestTightness:
     def test_table_values(self, capsys):
@@ -858,6 +884,134 @@ class TestTraceOnlyLower:
         assert cli.main(["analyze", path]) == 0
         analyzed = json.loads(capsys.readouterr().out)
         assert analyzed["bounds"]["trace_only_lower"] == bound["trace_only_lower"]
+
+
+def eigenvalues_of(report):
+    return [complex(v["re"], v["im"]) for v in report["eigenvalues"]]
+
+
+class TestTracelessFrame:
+    """`analyze` eigensolves the traceless part A0 = A - gamma*I and adds
+    gamma back once, in the report: gamma's n-fold cluster never reaches the
+    eigensolve, and a large gamma does not swamp the spectrum of A0."""
+
+    @pytest.mark.parametrize("gamma", [1, 3, complex(-2, 5), 1e8], ids=["1", "3", "-2+5j", "1e8"])
+    @pytest.mark.parametrize("n", [2, 3, 4, 8, 16])
+    def test_scalar_matrix_is_exact(self, tmp_path, capsys, n, gamma):
+        gamma = complex(gamma)
+        entries = [[gamma.real, gamma.imag] if i % (n + 1) == 0 else [0, 0] for i in range(n * n)]
+        assert cli.main(["analyze", write_json_matrix(tmp_path / "scalar.json", entries, n)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert eigenvalues_of(report) == [gamma] * n
+        assert report["ellipse"]["semimajor"] == report["ellipse"]["semiminor"] == 0
+        assert report["containment"]["verdict"] == "Contained"
+
+    @pytest.mark.parametrize("gamma", [1e8, 1e12])
+    def test_large_gamma_keeps_the_traceless_spectrum(self, tmp_path, capsys, gamma):
+        # the eigenvalues of [[1, 0.5], [0.25, -1]] are +-sqrt(1.125)
+        assert cli.main(["analyze", shifted_file(tmp_path, gamma)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        ulp = math.ulp(gamma)
+        want = (gamma - 1.0606601717798214, gamma + 1.0606601717798214)
+        for got, expected in zip(eigenvalues_of(report), want):
+            assert abs(got.real - expected) <= 4 * ulp and abs(got.imag) <= 4 * ulp
+        bounds = report["bounds"]
+        assert bounds["observed_spectral_radius"] >= bounds["trace_only_lower"]
+
+    @pytest.mark.parametrize("gamma", [1, complex(-2, 5)], ids=["1", "-2+5j"])
+    def test_traceless_part_below_the_square_root_of_the_underflow_threshold(self, tmp_path, capsys, gamma):
+        # A0 at the unit scale of A has parts near 5e-171, whose squares
+        # underflow to 0, so its Frobenius norm is 0 there
+        gamma = complex(gamma)
+        entries = [[gamma.real, gamma.imag], [1e-170, 0], [1e-170, 0], [gamma.real, gamma.imag]]
+        assert cli.main(["analyze", write_json_matrix(tmp_path / "near_scalar.json", entries, 2)]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        report = json.loads(out)
+        # the eigenvalues gamma +- 1e-170 round to gamma
+        assert all(abs(v - gamma) <= 1e-170 for v in eigenvalues_of(report))
+        assert [v.real for v in eigenvalues_of(report)] == [gamma.real] * 2
+        assert report["containment"]["verdict"] == "Contained"
+
+
+class TestFuzz:
+    """Random finite matrices through `analyze` and `bound`: each run ends,
+    within a time bound, in a documented exit code, and a nonzero exit is
+    one stderr line and no traceback."""
+
+    SECONDS = 20  # per example; an analyze at n <= 6 takes milliseconds
+
+    @staticmethod
+    def spread_parts(n):
+        # every exponent of the float range, 2^-1074..2^1023, a matrix's
+        # parts clustered around one exponent or spread across the range
+        def matrix(base, width, offsets, mantissas, signs, zeros):
+            return [
+                0.0 if zero else sign * math.ldexp(m, min(max(base + round(width * t), -1074), 1023))
+                for t, m, sign, zero in zip(offsets, mantissas, signs, zeros)
+            ]
+
+        k = 2 * n * n
+        return st.builds(
+            matrix,
+            st.integers(-1074, 1023),
+            st.sampled_from((0, 4, 40, 2100)),
+            st.lists(st.floats(-1, 1), min_size=k, max_size=k),
+            st.lists(st.floats(1, 2, exclude_max=True), min_size=k, max_size=k),
+            st.lists(st.sampled_from((1.0, -1.0)), min_size=k, max_size=k),
+            st.lists(st.booleans(), min_size=k, max_size=k),
+        )
+
+    @staticmethod
+    def shifted_parts(n):
+        # gamma*I + E with |gamma| up to 1e14 and E's parts at most 2^-s
+        def matrix(gamma, s, e):
+            return [math.ldexp(x, -s) + (gamma.real if i % (2 * n + 2) == 0 else gamma.imag if i % (2 * n + 2) == 1 else 0.0)
+                    for i, x in enumerate(e)]
+
+        k = 2 * n * n
+        return st.builds(
+            matrix,
+            st.complex_numbers(max_magnitude=1e14, allow_nan=False, allow_infinity=False),
+            st.integers(0, 1074),
+            st.lists(st.floats(-1, 1), min_size=k, max_size=k),
+        )
+
+    def run_both(self, tmp_path_factory, n, parts, codes=range(6)):
+        path = tmp_path_factory.mktemp("fuzz") / "a.json"
+        path.write_text(json.dumps({"n": n, "entries": [parts[i : i + 2] for i in range(0, 2 * n * n, 2)]}))
+
+        def timeout(signum, frame):
+            raise TimeoutError(f"no exit within {self.SECONDS} s")
+
+        previous = signal.signal(signal.SIGALRM, timeout)
+        signal.alarm(self.SECONDS)
+        try:
+            for command in ("analyze", "bound"):
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), warnings.catch_warnings():
+                    warnings.simplefilter("error")  # a warning would be a second stderr line
+                    rc = cli.main([command, str(path)])
+                assert rc in codes
+                if rc == cli.EXIT_OK:
+                    assert json.loads(out.getvalue())["n"] == n and err.getvalue() == ""
+                else:
+                    assert out.getvalue() == "" and err.getvalue().count("\n") == 1
+                    assert "Traceback" not in err.getvalue()
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 6).flatmap(lambda n: st.tuples(st.just(n), TestFuzz.spread_parts(n))))
+    def test_parts_across_the_float_range(self, tmp_path_factory, case):
+        self.run_both(tmp_path_factory, *case)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 6).flatmap(lambda n: st.tuples(st.just(n), TestFuzz.shifted_parts(n))))
+    def test_large_gamma_plus_small_part(self, tmp_path_factory, case):
+        # every part and reported value stays below 1e15: no overflow exit
+        self.run_both(tmp_path_factory, *case, codes=(0, 3, 4))
 
 
 class TestReportInvariants:

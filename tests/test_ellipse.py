@@ -107,7 +107,7 @@ class TestInscribedEllipse:
         e = inscribed_ellipse((1, -1), 2)
         assert abs(e.semimajor - 1) < 1e-14
         assert e.semiminor < 1e-14
-        assert e.center == 0
+        assert e.foci[1] == -e.foci[0]
         assert sorted((f.real for f in e.foci)) == pytest.approx([-1, 1], abs=1e-14)
 
     def test_extremal_family_n3(self):
@@ -173,9 +173,10 @@ class TestInscribedEllipse:
             assert e.major_dir.real > 0 or (
                 e.major_dir.real == 0 and e.major_dir.imag >= 0
             )
-            c = math.sqrt(max(e.semimajor**2 - e.semiminor**2, 0))
-            assert abs(e.foci[0] - (e.center + c * e.major_dir)) <= 1e-12
-            assert abs(e.foci[1] - (e.center - c * e.major_dir)) <= 1e-12
+            # foci at +-c along the major axis, c^2 = a^2 - b^2
+            c = abs(e.foci[0])
+            assert abs(e.foci[0] - c * e.major_dir) <= 1e-12 and e.foci[1] == -e.foci[0]
+            assert abs(c * c - (e.semimajor**2 - e.semiminor**2)) <= 1e-12 * (1 + e.semimajor**2)
             # foci agree with +-sqrt(q0)/(sqrt(2)(n-1)) as a pair
             f = principal_sqrt(q0) / (math.sqrt(2) * (n - 1))
             got = sorted(e.foci, key=lambda z: (z.real, z.imag))
@@ -194,47 +195,56 @@ class TestInscribedEllipse:
                 assert abs(s2 - t * s1) <= 1e-10 * (1 + abs(s1))
 
 
+def traceless_frame(a):
+    """The decomposition of a and the spectrum of its traceless part, the
+    two inputs of `shifted_ellipse`."""
+    d = decompose(as_matrix(a))
+    return d, eigenvalues(d.traceless_part)
+
+
 class TestShiftedEllipse:
+    """The ellipse of A in the traceless frame: centered at 0, and at gamma
+    once gamma is added back."""
+
     def test_diag_example(self):
-        a = as_matrix(np.diag([1, 3]))
-        e = shifted_ellipse(decompose(a), eigenvalues(a))
-        assert abs(e.center - 2) < 1e-12
+        d, s = traceless_frame(np.diag([1, 3]))
+        e = shifted_ellipse(d, s)
+        assert d.gamma == 2
         assert abs(e.semimajor - 1) < 1e-9
         assert e.semiminor < 1e-9
-        foci = sorted(e.foci, key=lambda z: z.real)
+        foci = sorted((d.gamma + f for f in e.foci), key=lambda z: z.real)
         assert abs(foci[0] - 1) < 1e-9 and abs(foci[1] - 3) < 1e-9
 
     def test_identity_point(self):
-        # (x-1)^3 roots cluster within ~(tol)^(1/3) ~ 1e-4 of 1, so the
-        # pipeline sees a tiny near-point ellipse rather than an exact point
-        a = as_matrix(np.eye(3))
-        e = shifted_ellipse(decompose(a), eigenvalues(a))
-        assert abs(e.center - 1) < 1e-12
-        assert e.semimajor < 1e-4
+        # the traceless part of I is the zero matrix, whose spectrum is
+        # exact, so the ellipse is exactly the point gamma = 1
+        d, s = traceless_frame(np.eye(3))
+        e = shifted_ellipse(d, s)
+        assert d.gamma == 1
+        assert e.semimajor == e.semiminor == 0
+        assert e.foci == (0, 0)
 
     def test_nilpotent_point(self):
-        a = as_matrix([[0, 1], [0, 0]])
-        e = shifted_ellipse(decompose(a), eigenvalues(a))
-        assert e.center == 0
+        d, s = traceless_frame([[0, 1], [0, 0]])
+        e = shifted_ellipse(d, s)
+        assert d.gamma == 0
         assert e.semimajor < 1e-5
 
     def test_dimension_too_small(self):
-        a = as_matrix([[5]])
         with pytest.raises(DimensionTooSmall):
-            shifted_ellipse(decompose(a), eigenvalues(a))
+            shifted_ellipse(*traceless_frame([[5]]))
 
     def test_two_by_two_is_the_eigenvalue_segment(self):
         # at n = 2 the certificate is exact: the ellipse collapses onto the
         # segment joining the eigenvalues
         for _ in range(100):
-            a = as_matrix(RNG.standard_normal((2, 2)) + 1j * RNG.standard_normal((2, 2)))
-            s = eigenvalues(a)
-            e = shifted_ellipse(decompose(a), s)
-            lam = s.values
+            d, s = traceless_frame(RNG.standard_normal((2, 2)) + 1j * RNG.standard_normal((2, 2)))
+            e = shifted_ellipse(d, s)
+            lam = [d.gamma + v for v in s.values]
             scale = 1e-9 * (1 + max(abs(v) for v in lam))
             assert abs(e.semimajor - abs(lam[0] - lam[1]) / 2) <= scale
             assert e.semiminor <= scale
-            got = sorted(e.foci, key=lambda z: (z.real, z.imag))
+            got = sorted((d.gamma + f for f in e.foci), key=lambda z: (z.real, z.imag))
             want = sorted(lam, key=lambda z: (z.real, z.imag))
             assert all(abs(g - w) <= scale for g, w in zip(got, want))
 
@@ -242,7 +252,6 @@ class TestShiftedEllipse:
 class TestSupport:
     def test_disk(self):
         disk = SpectralEllipse(
-            center=0,
             semimajor=1.0,
             semiminor=1.0,
             major_dir=1 + 0j,

@@ -28,9 +28,10 @@ from spectral_ellipse.spectrum import eigenvalues
 RNG = np.random.default_rng(31337)
 
 
-def point_ellipse(z):
-    """The point ellipse of the double eigenvalue {z, z}."""
-    return ellipse_from_normalized(normalize_mu((0, 0)), 2, center=z)
+def point_ellipse():
+    """The point ellipse of a double eigenvalue {z, z} in the traceless
+    frame, where it sits at 0 and the hull is translated by -z."""
+    return ellipse_from_normalized(normalize_mu((0, 0)), 2)
 
 
 class TestConvexHull:
@@ -51,6 +52,11 @@ class TestConvexHull:
         h = convex_hull((3 + 4j, 3 + 4j))
         assert h.vertices == (3 + 4j,)
         assert h.diameter == 0
+
+    def test_duplicate_threshold_grows_with_the_points(self):
+        # 1e-14 * (1 + max|p|): 3e-14 apart is one point at 3, two at 0
+        assert convex_hull((3, 3 + 3e-14)).vertices == (3,)
+        assert len(convex_hull((0, 3e-14)).vertices) == 2
 
     def test_counterclockwise_square(self):
         h = convex_hull((1, 1j, -1, -1j))
@@ -123,15 +129,15 @@ class TestContainsEllipse:
         assert abs(rep.min_margin) < 1e-13
 
     def test_point_hull_point_ellipse(self):
-        h = convex_hull((3, 3))
-        e = point_ellipse(3)
+        h = convex_hull((0, 0))
+        e = point_ellipse()
         rep = contains_ellipse(h, e, 1e-11)
         assert rep.verdict == CONTAINED
         assert abs(rep.min_margin) < 1e-13
 
     def test_point_hull_displaced_point_is_violated(self):
-        h = convex_hull((5,))
-        e = point_ellipse(7)
+        h = convex_hull((-2,))
+        e = point_ellipse()
         rep = contains_ellipse(h, e, 1e-9)
         assert rep.verdict == VIOLATED
 
@@ -237,11 +243,10 @@ class TestWitnessAgreement:
             n = int(RNG.integers(2, 7))
             g = (RNG.standard_normal((n, n)) + 1j * RNG.standard_normal((n, n))) / np.sqrt(2 * n)
             a = as_matrix(g)
-            d = decompose(a)
-            s = eigenvalues(a)
-            ns = normalize_mu(v - d.gamma for v in s.values)
+            s = eigenvalues(decompose(a).traceless_part)
+            ns = normalize_mu(s.values)
             ax = axis_sums(ns)
-            e = ellipse_from_normalized(ns, n, center=d.gamma)
+            e = ellipse_from_normalized(ns, n)
             h = convex_hull(s.values)
             scale = 1 + max(abs(v) for v in s.values)
             rep = contains_ellipse(h, e, 1e-8 * scale)

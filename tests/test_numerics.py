@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from spectral_ellipse import numerics
 from spectral_ellipse.numerics import (
     NonConvergence,
     NonFinite,
@@ -159,9 +160,10 @@ class TestFindRoots:
         root = find_roots(poly(complex(-0.0, -0.0), 1))[0]
         assert math.copysign(1.0, root.real) == 1.0 and math.copysign(1.0, root.imag) == 1.0
 
-    def test_non_convergence_reports_residuals(self):
+    def test_non_convergence_reports_residuals(self, monkeypatch):
+        monkeypatch.setattr(numerics, "DEFAULT_MAX_ITER", 2)
         with pytest.raises(NonConvergence) as info:
-            find_roots(poly(0, 0, 0, 1), max_iter=2)
+            find_roots(poly(0, 0, 0, 1))
         assert len(info.value.residuals) == 3
         assert all(r > 0 for r in info.value.residuals)
 
