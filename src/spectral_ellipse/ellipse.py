@@ -61,7 +61,6 @@ class SpectralEllipse:
     semiminor: float
     major_dir: complex
     foci: tuple[complex, complex]
-    order_n: int
 
 
 def _sum_of_squares(xs) -> float:
@@ -126,7 +125,6 @@ def ellipse_from_normalized(ns: NormalizedSpectrum, n: int) -> SpectralEllipse:
         semiminor=b,
         major_dir=direction,
         foci=(focus, -focus),
-        order_n=n,
     )
 
 

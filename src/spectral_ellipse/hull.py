@@ -1,5 +1,8 @@
 """Convex hull of a spectrum and certified ellipse containment.
 
+The hull is Andrew's monotone chain with an orientation test that has no
+tolerance; only the duplicate and segment thresholds remain (`convex_hull`).
+
 Containment is decided by support-function comparison on the hull's edge
 normals, which is exact for polygon targets: a convex set lies inside a
 convex polygon iff its support is dominated on every outward edge normal.
@@ -29,7 +32,6 @@ from .ellipse import (
 )
 
 DUPLICATE_REL_TOL = 1e-14
-COLLINEAR_REL_TOL = 1e-12
 SEGMENT_REL_TOL = 1e-10
 
 CONTAINED = "Contained"
@@ -43,7 +45,6 @@ class HullPolygon:
     (2 vertices) or a single point."""
 
     vertices: tuple[complex, ...]
-    diameter: float
 
 
 @dataclass(frozen=True)
@@ -51,7 +52,6 @@ class ContainmentReport:
     verdict: str
     min_margin: float
     worst_direction: complex
-    per_edge_margins: tuple[float, ...]
 
 
 def _cross(o: complex, a: complex, b: complex) -> float:
@@ -68,37 +68,34 @@ def _dedupe(points: list[complex]) -> list[complex]:
 
 
 def convex_hull(points) -> HullPolygon:
-    """Counterclockwise hull by monotone chain; interior and collinear points
-    removed, near-duplicates collapsed, nearly-collinear hulls reduced to the
-    segment through their extreme pair."""
+    """Counterclockwise hull by Andrew's monotone chain.
+
+    The chains pop a point on the sign of the cross product alone, with no
+    tolerance, so a point leaves the hull only when it lies inside it or
+    within rounding of one of its edges.  Two thresholds remain: points within
+    DUPLICATE_REL_TOL * (1 + max|p|) of a kept point merge into it, and a
+    hull whose vertices all lie within SEGMENT_REL_TOL * diameter of the
+    line through its farthest pair becomes that segment.  Points collinear
+    only up to rounding may stay as vertices; the hull is the same set
+    either way."""
     pts = [complex(p) for p in points]
     if not pts:
         raise ValueError("convex hull needs at least one point")
     uniq = _dedupe(pts)
     if len(uniq) == 1:
-        return HullPolygon(vertices=(uniq[0],), diameter=0.0)
-
-    # bounding-box diagonal as the scale for collinearity during construction
-    res = [p.real for p in uniq]
-    ims = [p.imag for p in uniq]
-    bbox_diag = math.hypot(max(res) - min(res), max(ims) - min(ims))
-    dist_tol = COLLINEAR_REL_TOL * bbox_diag
+        return HullPolygon(vertices=(uniq[0],))
 
     def build(seq):
         chain: list[complex] = []
         for p in seq:
-            while len(chain) >= 2 and _cross(chain[-2], chain[-1], p) <= dist_tol * abs(
-                p - chain[-2]
-            ):
+            while len(chain) >= 2 and _cross(chain[-2], chain[-1], p) <= 0.0:
                 chain.pop()
             chain.append(p)
         return chain
 
-    lower = build(uniq)
-    upper = build(reversed(uniq))
-    hull = lower[:-1] + upper[:-1]
-    if len(hull) < 2:
-        hull = [uniq[0], uniq[-1]]
+    # a chain never pops its first point, so hull starts at uniq[0] and
+    # holds uniq[-1]: a two-vertex hull is already in (re, im) order
+    hull = build(uniq)[:-1] + build(reversed(uniq))[:-1]
 
     far_p, far_q = max(
         ((p, q) for p in hull for q in hull),
@@ -112,11 +109,9 @@ def convex_hull(points) -> HullPolygon:
         off_line = max(abs(((v - far_p) * axis.conjugate()).imag) for v in hull)
         if off_line <= SEGMENT_REL_TOL * diameter:
             ends = sorted((far_p, far_q), key=lambda z: (z.real, z.imag))
-            return HullPolygon(vertices=tuple(ends), diameter=diameter)
+            return HullPolygon(vertices=tuple(ends))
 
-    if len(hull) == 2:
-        hull = sorted(hull, key=lambda z: (z.real, z.imag))
-    return HullPolygon(vertices=tuple(hull), diameter=diameter)
+    return HullPolygon(vertices=tuple(hull))
 
 
 def _dot(u: complex, v: complex) -> float:
@@ -147,7 +142,6 @@ def contains_ellipse(h: HullPolygon, e: SpectralEllipse, slack: float) -> Contai
             verdict=verdict,
             min_margin=margins[worst],
             worst_direction=dirs[worst],
-            per_edge_margins=tuple(margins),
         )
 
     if m == 2:
@@ -172,7 +166,6 @@ def contains_ellipse(h: HullPolygon, e: SpectralEllipse, slack: float) -> Contai
             verdict=verdict,
             min_margin=margins[worst],
             worst_direction=(-s, s)[worst],
-            per_edge_margins=margins,
         )
 
     v = verts[0]
@@ -190,7 +183,6 @@ def contains_ellipse(h: HullPolygon, e: SpectralEllipse, slack: float) -> Contai
         verdict=verdict,
         min_margin=margins[worst],
         worst_direction=cardinal[worst],
-        per_edge_margins=margins,
     )
 
 

@@ -50,7 +50,8 @@ def moment(values, k: int) -> complex:
 def moment_tol(a: np.ndarray, tol: float = DEFAULT_MOMENT_TOL) -> float:
     """tol*(1 + ||A||_F)^2 of the matrix as given.  The pipeline gives it A0
     at its own unit scale, where the limit is relative to the scale of A0."""
-    f = float(np.linalg.norm(a))
+    with np.errstate(over="ignore"):
+        f = float(np.linalg.norm(a))
     if f == math.inf:  # numpy's sum of squares overflows first; hypot does not
         f = math.hypot(*np.abs(a).ravel())
     try:
@@ -83,7 +84,8 @@ def eigenvalues(a: np.ndarray, tol: float = DEFAULT_MOMENT_TOL) -> Spectrum:
     if not a.any():
         return Spectrum(values=(0j,) * n, sum_residual=0.0, q_residual=0.0)
 
-    scale = float(np.linalg.norm(a)) / math.sqrt(n)
+    with np.errstate(over="ignore"):  # an infinite scale ends in NonFinite below
+        scale = float(np.linalg.norm(a)) / math.sqrt(n)
     roots = find_roots(matrix.char_poly(a / scale))
     lams = tuple(sorted((scale * r for r in roots), key=lambda z: (z.real, z.imag)))
 

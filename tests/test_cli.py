@@ -495,6 +495,20 @@ class TestAnalyze:
         )
         assert abs(ideal.min_margin - (1 - math.sqrt(3) / 2)) < 1e-12
 
+    @pytest.mark.parametrize("imag", (0.0, 1.0), ids=("real_skew", "skew_hermitian"))
+    def test_skew_matrices_are_contained(self, tmp_path, capsys, imag):
+        # the spectrum lies on the imaginary axis, where rounding in the real
+        # parts decides the hull's sort order; no end may be dropped for it
+        rng = np.random.default_rng(7)
+        for n in (2, 3, 4, 5, 8):
+            for k in range(4):
+                g = rng.standard_normal((n, n)) + imag * 1j * rng.standard_normal((n, n))
+                entries = [[v.real, v.imag] for v in (g - g.conj().T).ravel()]
+                path = write_json_matrix(tmp_path / f"skew{n}_{k}.json", entries, n)
+                assert cli.main(["analyze", path]) == 0
+                report = json.loads(capsys.readouterr().out)
+                assert report["containment"]["verdict"] == "Contained", (n, k)
+
     def test_byte_identical_runs(self, tmp_path):
         path = diag13_file(tmp_path)
         first = run_cli(["analyze", path])

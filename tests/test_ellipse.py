@@ -256,7 +256,6 @@ class TestSupport:
             semiminor=1.0,
             major_dir=1 + 0j,
             foci=(0j, 0j),
-            order_n=4,
         )
         assert abs(support(disk, complex(3, 4)) - 5) < 1e-12
 

@@ -8,6 +8,9 @@ from spectral_ellipse.matrix import as_matrix, condition_estimate, q_form, simil
 from spectral_ellipse.numerics import NonFinite
 from spectral_ellipse.spectrum import MomentMismatch, eigenvalues, moment, moment_tol
 
+# a numpy warning in the numeric core is a defect, not noise
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 RNG = np.random.default_rng(424242)
 
 
