@@ -28,7 +28,11 @@ import numpy as np
 from . import matrix
 
 _MASK64 = (1 << 64) - 1
-_GAMMA = 0x9E3779B97F4A7C15
+# SplitMix64's increment and finalizer multipliers, as uint64 so the array
+# path does not convert them on each call
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
 _TWO_PI = 2.0 * math.pi
 _NORMAL_BLOCK = 1 << 15  # normals per Box-Muller pass, which bounds its temporaries
 
@@ -52,9 +56,9 @@ class UnsupportedDimension(ValueError):
 
 def counter_value(seed: int, index: int) -> int:
     """Output `index` of stream `seed`: a 64-bit value, pure in (seed, index)."""
-    z = (seed + (index + 1) * _GAMMA) & _MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    z = (seed + (index + 1) * int(_GAMMA)) & _MASK64
+    z = ((z ^ (z >> 30)) * int(_MIX1)) & _MASK64
+    z = ((z ^ (z >> 27)) * int(_MIX2)) & _MASK64
     return z ^ (z >> 31)
 
 
@@ -65,9 +69,9 @@ def counter_values(seed: int, start: int, count: int) -> np.ndarray:
     z *= _GAMMA
     z += seed & _MASK64
     z ^= z >> 30
-    z *= 0xBF58476D1CE4E5B9
+    z *= _MIX1
     z ^= z >> 27
-    z *= 0x94D049BB133111EB
+    z *= _MIX2
     z ^= z >> 31
     return z
 

@@ -6,14 +6,16 @@ import os
 import signal
 import subprocess
 import sys
+import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spectral_ellipse import cli
+from spectral_ellipse import cli, matrixio
 from spectral_ellipse.ensembles import EnsembleSpec, generate
 from spectral_ellipse.matrixio import NonSquare, ParseError, load_matrix, parse_json_matrix, parse_mtx
 from spectral_ellipse.numerics import NonConvergence
@@ -217,7 +219,10 @@ def outcome(parse, text):
 def scalar_json(text):
     """Reference reading of a JSON matrix with valid "n" and entry count:
     one type check and one float() per value, one entry at a time."""
-    obj = json.loads(text)
+    try:
+        obj = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise ParseError(f"invalid JSON: {exc}") from None
     n = obj["n"]
     a = np.zeros((n, n), dtype=complex)
     for idx, pair in enumerate(obj["entries"]):
@@ -236,21 +241,50 @@ def scalar_json(text):
     return a
 
 
+# raw number texts that JSON reads its own way (-0 is the int 0), or rejects
+JSON_NUMBER_TEXTS = ("-0", "1E+2", "-1e-2", "+1", ".5", "5.", "01", "1_0", "NaN", "Infinity", "-Infinity")
+
+
 @st.composite
 def json_files(draw):
+    """A JSON matrix with a valid "n" and entry count, whitespace around
+    every token, the two keys in either order and perhaps an extra key."""
     n = draw(st.integers(1, 3))
+    ws = st.text(" \t\n\r", max_size=2)
+
+    def tokens(*parts):
+        return "".join(draw(ws) + part for part in parts) + draw(ws)
+
+    def array(items):
+        return tokens("[", ",".join(tokens(item) for item in items), "]")
+
+    number = st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False).map(repr),
+        st.integers(-(2**70), 2**70).map(str),
+        st.sampled_from(["-0", "1E+2", "-1e-2", "0", "-0.0", str(10**308)]),
+    )
     value = st.one_of(
-        st.floats(),
-        st.integers(-(2**70), 2**70),
-        st.sampled_from([10**400, -(10**400), True, False, None, "1", 0, -0.0]),
+        st.floats().map(json.dumps),
+        number,
+        st.sampled_from([10**400, -(10**400), True, False, None, "1", 0, -0.0]).map(json.dumps),
+        st.sampled_from(JSON_NUMBER_TEXTS),
     )
-    pair = st.one_of(
-        st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=2, max_size=2),
-        st.lists(value, min_size=2, max_size=2),
-        st.lists(value, min_size=0, max_size=3),
-        value,
-    )
-    return json.dumps({"n": n, "entries": draw(st.lists(pair, min_size=n * n, max_size=n * n))})
+    pair = st.lists(number, min_size=2, max_size=2).map(array)
+    if draw(st.booleans()):  # entries with faults, else every entry a pair of JSON numbers
+        pair = st.one_of(
+            pair,
+            st.lists(value, min_size=2, max_size=2).map(array),
+            st.lists(value, min_size=0, max_size=3).map(array),
+            value,
+            st.sampled_from(["[[1, 0], [0, 1]]", "[[1, 0]]", '"[1, 0]"', '{"re": 1, "im": 0}']),
+        )
+    entries = array(draw(st.lists(pair, min_size=n * n, max_size=n * n)))
+    keys = [tokens('"n"', ":", str(n)), tokens('"entries"', ":") + entries]
+    if draw(st.booleans()):
+        keys.reverse()
+    if draw(st.booleans()):
+        keys.insert(draw(st.integers(0, 2)), tokens('"note"', ":") + draw(value))
+    return tokens("{", ",".join(keys), "}")
 
 
 @st.composite
@@ -425,6 +459,109 @@ class TestParserParity:
         text = json.dumps({"n": 2, "entries": [[v, -v] for v in big]})
         expected = np.array([complex(float(v), float(-v)) for v in big]).reshape(2, 2)
         assert same_bits(parse_json_matrix(text), expected)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(mtx_files(), json_files()), st.sampled_from([1, 2, 7, 40]))
+    def test_chunk_boundaries_do_not_change_the_outcome(self, text, chunk):
+        parse, scalar = (parse_mtx, scalar_mtx) if text.startswith("%%") else (parse_json_matrix, scalar_json)
+        with mock.patch.object(matrixio, "_CHUNK", chunk):
+            assert outcome(parse, text) == outcome(scalar, text)
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    @pytest.mark.parametrize("fault", [None, "real", "bad token", "nan", "missing", "extra"])
+    def test_mtx_larger_than_a_chunk(self, newline, fault):
+        n = 120  # about nine chunks of data
+        rng = np.random.default_rng(5)
+        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        field = "complex"
+        if fault == "real":
+            a, field = a.real.astype(complex), "real"
+        lines = [f"{z.real!r} {z.imag!r}" if field == "complex" else repr(z.real) for z in a.T.ravel().tolist()]
+        if fault == "bad token":
+            lines[-1] = "1.0 x"  # in the last chunk
+        elif fault == "nan":
+            lines[len(lines) // 2] = "nan 0"
+        elif fault == "missing":
+            lines[-1] = "1.0"
+        elif fault == "extra":
+            lines.append("0")
+        for k in range(len(lines) - 1, 0, -997):
+            lines.insert(k, "  % mid-data comment")
+        text = newline.join([f"%%MatrixMarket matrix array {field} general", "% size next", f"{n} {n}", *lines, ""])
+        if fault in ("missing", "extra"):
+            got = 2 * n * n + (1 if fault == "extra" else -1)
+            with pytest.raises(ParseError, match=rf"^expected {2 * n * n} data tokens, got {got}$"):
+                parse_mtx(text)
+            return
+        assert outcome(parse_mtx, text) == outcome(scalar_mtx, text)
+        if fault in (None, "real"):
+            assert same_bits(parse_mtx(text), a)
+
+    @pytest.mark.parametrize(
+        "fault", [None, "spaced", "-0", "bool", "short pair", "nested", "inf", "big int", "missing", "trailing comma"]
+    )
+    def test_json_larger_than_a_chunk(self, fault):
+        n = 100  # about six chunks of entries
+        rng = np.random.default_rng(6)
+        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        pairs = [f"[{z.real!r},{z.imag!r}]" for z in a.ravel().tolist()]
+        sep = ","
+        if fault == "spaced":
+            pairs, sep = [f"[ {z.real!r} ,\t{z.imag!r} ]" for z in a.ravel().tolist()], " ,\r\n "
+        elif fault == "-0":
+            pairs[-1] = "[-0, -0.0]"
+            a[-1, -1] = complex(0.0, -0.0)
+        elif fault == "bool":
+            pairs[-1] = "[true, 0]"  # in the last chunk
+        elif fault == "short pair":
+            pairs[len(pairs) // 2] = "[1]"
+        elif fault == "nested":
+            pairs[-1] = "[[1, 0]]"
+        elif fault == "inf":
+            pairs[len(pairs) // 2] = "[1e400, 0]"
+        elif fault == "big int":
+            pairs[-1] = "[1" + "0" * 400 + ", 0]"
+        elif fault == "missing":
+            del pairs[-1]
+        body = sep.join(pairs) + ("," if fault == "trailing comma" else "")
+        text = f'{{"n": {n}, "entries": [{body}]}}\n'
+        if fault == "missing":
+            with pytest.raises(ParseError, match=rf'^"entries" must hold {n * n} \[re, im\] pairs$'):
+                parse_json_matrix(text)
+            return
+        assert outcome(parse_json_matrix, text) == outcome(scalar_json, text)
+        if fault in (None, "spaced", "-0"):
+            assert same_bits(parse_json_matrix(text), a)
+
+    @pytest.mark.parametrize("fmt", ["mtx", "json"])
+    def test_peak_memory_is_the_text_and_a_few_copies_of_the_matrix(self, tmp_path, fmt):
+        n = 256
+        rng = np.random.default_rng(7)
+        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        text = mtx_text(a) if fmt == "mtx" else json_text(a)
+        path = tmp_path / f"m.{fmt}"
+        path.write_text(text)
+        tracemalloc.start()
+        try:
+            parsed = load_matrix(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert same_bits(parsed, a)
+        assert peak <= len(text) + 4 * 16 * n * n
+
+    @pytest.mark.parametrize(
+        "text",
+        ['{"n": 1, "entries": [[' + "7" * 5000 + ", 0]]}", "[" * 100_000],
+        ids=["int-of-5000-digits", "100000-nested-brackets"],
+    )
+    def test_json_the_decoder_cannot_take_is_a_parse_error(self, tmp_path, capsys, text):
+        path = tmp_path / "m.json"
+        path.write_text(text)
+        assert cli.main(["bound", str(path)]) == cli.EXIT_PARSE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("parse error: invalid JSON: ") and err.count("\n") == 1 and err.endswith("\n")
 
 
 class TestCanonicalJson:
