@@ -46,89 +46,103 @@ class PipelineSettings:
     sweep_k: int = 720
 
     def slack(self, values) -> float:
+        """slack_scale * (1 + max|v|), of the traceless values at A0's unit scale in `analyze`."""
         return self.slack_scale * (1.0 + max(abs(v) for v in values))
 
 
-@dataclass(frozen=True)
-class Analysis:
-    """Everything the pipeline computes for one matrix A, each part once, for
-    A at unit scale, A * 2^-exponent, and all but the decomposition and bound
-    for its traceless part A0: reports add gamma to each point, then scale
-    lengths by 2^exponent and q values by 4^exponent.  The last four are
-    None when n = 1 (no ellipse)."""
-
-    decomposition: mx.Decomposition
-    spectrum: sp.Spectrum
-    hull: hl.HullPolygon
-    exponent: int
-    normalized: el.NormalizedSpectrum | None
-    ellipse: el.SpectralEllipse | None
-    containment: hl.ContainmentReport | None
-    bound: float | None
-
-
 def _scaled(z, e: int):
-    """The report value of z * 2^e: a float, or a complex_obj for a complex z.
-    NonFinite where a part leaves the float range."""
+    """z * 2^e for a float or a complex z; NonFinite where a part leaves the float range."""
     try:
         if isinstance(z, complex):
-            return complex_obj(complex(math.ldexp(z.real, e), math.ldexp(z.imag, e)))
+            return complex(math.ldexp(z.real, e), math.ldexp(z.imag, e))
         return math.ldexp(z, e)
     except OverflowError:
         raise NonFinite(f"a reported value times 2^{e} exceeds the float range") from None
 
 
+@dataclass(frozen=True)
+class Analysis:
+    """Everything the pipeline computes for one matrix A, each part once: the
+    decomposition and bound at A's unit scale, A * 2^-exponent; the rest in
+    the traceless frame, A0 * 2^-traceless_exponent, with its eigenvalues'
+    mean trace_residual taken out.  The methods take traceless values back to
+    the input.  The last four fields are None when n = 1 (no ellipse)."""
+
+    decomposition: mx.Decomposition
+    spectrum: sp.Spectrum
+    hull: hl.HullPolygon
+    exponent: int
+    traceless_exponent: int
+    trace_residual: complex
+    normalized: el.NormalizedSpectrum | None
+    ellipse: el.SpectralEllipse | None
+    containment: hl.ContainmentReport | None
+    bound: float | None
+
+    def _unit_point(self, z: complex) -> complex:
+        return self.decomposition.gamma + _scaled(z + self.trace_residual, self.traceless_exponent)
+
+    def point(self, z: complex) -> complex:
+        """gamma + (z + trace_residual) * 2^traceless_exponent, at scale 2^exponent."""
+        return _scaled(self._unit_point(z), self.exponent)
+
+    def length(self, x: float) -> float:
+        return _scaled(x, self.exponent + self.traceless_exponent)
+
+    def square(self, q: float) -> float:
+        return _scaled(q, 2 * (self.exponent + self.traceless_exponent))
+
+
 def analyze(a, settings: PipelineSettings = PipelineSettings()) -> Analysis:
-    """The pipeline, on A at unit scale (so every tolerance is relative):
-    decompose; eigensolve the traceless part A0 at its own unit scale (no
-    gamma cluster, no underflow of its norm) and scale its eigenvalues back;
-    hull, normalize, ellipse centered at 0, containment, trace-only bound."""
+    """The pipeline, on A at unit scale: decompose; eigensolve the traceless
+    part A0 at its own unit scale (no gamma cluster, no underflow of its norm)
+    and center its eigenvalues on their mean; hull, normalize, ellipse centered
+    at 0 and containment there, each tolerance relative to A0; bound of A."""
     n = a.shape[0]
     unit, e = mx.power_of_two_scale(a)
     d = mx.decompose(unit)
     a0, e0 = mx.power_of_two_scale(d.traceless_part)
     mu = sp.eigenvalues(a0, settings.moment_tol)
-    back = tuple(complex(math.ldexp(v.real, e0), math.ldexp(v.imag, e0)) for v in mu.values)
-    spectrum = sp.Spectrum(back, math.ldexp(mu.sum_residual, e0), math.ldexp(mu.q_residual, 2 * e0))
+    delta = complex(math.fsum(a0.diagonal().real), math.fsum(a0.diagonal().imag)) / n
+    spectrum = sp.Spectrum(tuple(v - delta for v in mu.values), mu.sum_residual, mu.q_residual)
     hull = hl.convex_hull(spectrum.values)
     if n < 2:
-        return Analysis(d, spectrum, hull, e, None, None, None, None)
+        return Analysis(d, spectrum, hull, e, e0, delta, None, None, None, None)
     ns = el.normalize_mu(spectrum.values)
     shape = el.ellipse_from_normalized(ns, n)
     containment = hl.contains_ellipse(hull, shape, settings.slack(spectrum.values))
     _, bound = el.trace_only_bound(d)
-    return Analysis(d, spectrum, hull, e, ns, shape, containment, bound)
+    return Analysis(d, spectrum, hull, e, e0, delta, ns, shape, containment, bound)
 
 
 def analysis_report(an: Analysis) -> dict:
     """The JSON report of `analyze`, in A's frame and at the scale of the input."""
     d, shape, containment, e = an.decomposition, an.ellipse, an.containment, an.exponent
-    lam = [d.gamma + v for v in an.spectrum.values]
     report = {
         "schema": SCHEMA,
         "n": d.n,
-        "gamma": _scaled(d.gamma, e),
-        "q_total": _scaled(d.q_total, 2 * e),
-        "q_traceless": _scaled(d.q_traceless, 2 * e),
-        "eigenvalues": [_scaled(v, e) for v in lam],
+        "gamma": complex_obj(_scaled(d.gamma, e)),
+        "q_total": complex_obj(_scaled(d.q_total, 2 * e)),
+        "q_traceless": complex_obj(_scaled(d.q_traceless, 2 * e)),
+        "eigenvalues": [complex_obj(an.point(v)) for v in an.spectrum.values],
         "ellipse": None if shape is None else {
-            "center": _scaled(d.gamma, e),
-            "semimajor": _scaled(shape.semimajor, e),
-            "semiminor": _scaled(shape.semiminor, e),
+            "center": complex_obj(an.point(0j)),
+            "semimajor": an.length(shape.semimajor),
+            "semiminor": an.length(shape.semiminor),
             "major_dir_angle_rad": math.atan2(shape.major_dir.imag, shape.major_dir.real),
-            "foci": [_scaled(d.gamma + f, e) for f in shape.foci],
+            "foci": [complex_obj(an.point(f)) for f in shape.foci],
         },
-        "hull_vertices": [_scaled(d.gamma + v, e) for v in an.hull.vertices],
+        "hull_vertices": [complex_obj(an.point(v)) for v in an.hull.vertices],
         "containment": None if containment is None else {
             "verdict": containment.verdict,
-            "min_margin": _scaled(containment.min_margin, e),
+            "min_margin": an.length(containment.min_margin),
             "worst_direction_angle_rad": math.atan2(
                 containment.worst_direction.imag, containment.worst_direction.real
             ),
         },
         "bounds": {
             "trace_only_lower": None if an.bound is None else _scaled(an.bound, e),
-            "observed_spectral_radius": _scaled(max(abs(v) for v in lam), e),
+            "observed_spectral_radius": _scaled(max(abs(an._unit_point(v)) for v in an.spectrum.values), e),
         },
     }
     if shape is None:
@@ -160,18 +174,10 @@ def run_trial(kind: str, n: int, trial_seed: int, settings: PipelineSettings) ->
         an = analyze(a, settings)
     except (MomentMismatch, NonConvergence) as exc:
         return TrialRecord(trial_seed, n, None, None, None, None, None, type(exc).__name__)
-    ns, e = an.normalized, an.exponent
+    ns, shape, containment = an.normalized, an.ellipse, an.containment
     sweep = hl.sweep_margins(ns, el.axis_sums(ns), n, settings.sweep_k)
-    return TrialRecord(
-        seed=trial_seed,
-        n=n,
-        q_abs=_scaled(ns.q_abs, 2 * e),
-        semimajor=_scaled(an.ellipse.semimajor, e),
-        semiminor=_scaled(an.ellipse.semiminor, e),
-        min_margin=_scaled(an.containment.min_margin, e),
-        sweep_min=_scaled(sweep.min(), e),
-        verdict=an.containment.verdict,
-    )
+    lengths = (an.length(x) for x in (shape.semimajor, shape.semiminor, containment.min_margin, sweep.min()))
+    return TrialRecord(trial_seed, n, an.square(ns.q_abs), *lengths, containment.verdict)
 
 
 def run_verify(kind: str, n: int, trials: int, seed: int, settings: PipelineSettings):
@@ -235,8 +241,8 @@ def bound_report(a) -> dict:
     report = {
         "schema": SCHEMA,
         "n": n,
-        "gamma": _scaled(d.gamma, e),
-        "q_traceless": _scaled(d.q_traceless, 2 * e),
+        "gamma": complex_obj(_scaled(d.gamma, e)),
+        "q_traceless": complex_obj(_scaled(d.q_traceless, 2 * e)),
     }
     if n < 2:
         report["foci"] = None
@@ -244,7 +250,7 @@ def bound_report(a) -> dict:
         report["note"] = "dimension < 2"
         return report
     foci, bound = el.trace_only_bound(d)
-    report["foci"] = [_scaled(f, e) for f in foci]
+    report["foci"] = [complex_obj(_scaled(f, e)) for f in foci]
     report["trace_only_lower"] = _scaled(bound, e)
     return report
 

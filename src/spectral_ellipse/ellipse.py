@@ -78,7 +78,9 @@ def normalize_mu(lambdas) -> NormalizedSpectrum:
 
     When |q0| is below the detection threshold the values pass through
     unchanged with phase_factor 1; both limits agree, so misclassification
-    near zero is harmless.
+    near zero is harmless.  That holds because `cli.analyze` passes the
+    values at A0's own unit scale, so the threshold is relative to A0 and
+    not to a dominant gamma, at whose scale every q0 would look like zero.
     """
     lam = tuple(complex(v) for v in lambdas)
     q0 = complex(sum(v * v for v in lam))

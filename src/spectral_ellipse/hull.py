@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -33,6 +34,7 @@ from .ellipse import (
 
 DUPLICATE_REL_TOL = 1e-14
 SEGMENT_REL_TOL = 1e-10
+_NORMAL_MIN = 2.0**-1022
 
 CONTAINED = "Contained"
 VIOLATED = "Violated"
@@ -54,8 +56,14 @@ class ContainmentReport:
     worst_direction: complex
 
 
-def _cross(o: complex, a: complex, b: complex) -> float:
-    return (a.real - o.real) * (b.imag - o.imag) - (a.imag - o.imag) * (b.real - o.real)
+def _cross(o: complex, a: complex, b: complex) -> float | Fraction:
+    """(a - o) x (b - o), exact where a float product of nonzero factors may
+    have underflowed and taken the sign with it (below the normal range)."""
+    x1, y1, x2, y2 = a.real - o.real, a.imag - o.imag, b.real - o.real, b.imag - o.imag
+    c = x1 * y2 - y1 * x2
+    if abs(c) >= _NORMAL_MIN or not (x1 and y2 or y1 and x2):
+        return c
+    return Fraction(x1) * Fraction(y2) - Fraction(y1) * Fraction(x2)
 
 
 def _dedupe(points: list[complex]) -> list[complex]:

@@ -5,7 +5,7 @@ Validation is by moments rather than residual vectors: the pipeline produces
 roots, not eigenvectors, and the downstream geometry consumes exactly these
 two power sums.  A failed moment check is a hard error because an unreliable
 spectrum must never reach the containment verdict.  Scale is chosen in
-`cli`, which passes the matrix at unit scale and scales the answer back.
+`cli`, which passes the matrix at unit scale and keeps the answer there.
 """
 
 from __future__ import annotations

@@ -3,8 +3,9 @@ inscribed ellipse.
 
 Fixed 800x800 viewport, equal x/y scale, 5% padding around the hull bounding
 box.  The ellipse is drawn as two arc segments between its major vertices so
-degenerate (flat) ellipses render as their segment.  With the view centered
-on the hull and no axes, gamma and 2^exponent would not move a pixel.
+degenerate (flat) ellipses render as their segment.  It is drawn in the
+traceless frame at A0's unit scale; with the view centered on the hull and
+no axes, neither gamma nor any power-of-two scale moves a pixel.
 """
 
 from __future__ import annotations

@@ -75,13 +75,13 @@ def run_campaign_trial(kind: str, n: int, seed: int) -> Trial:
         an = cli.analyze(a)
     except sp.MomentMismatch:
         return Trial(kind=kind, n=n, seed=seed, frob=frob, mismatch=True)
-    # the Analysis is at unit scale and in the traceless frame; every field
-    # below is taken back to A, gamma + mu at the scale of A, where frob and
-    # each criterion's threshold are
-    length, square = 2.0**an.exponent, 4.0**an.exponent
+    # the decomposition and bound are of A at unit scale, the rest in the
+    # traceless frame; every field below is taken back to A's frame and
+    # scale, where frob and each criterion's threshold are
     d, ns = an.decomposition, an.normalized
-    gamma = d.gamma * length
-    values = [gamma + v * length for v in an.spectrum.values]
+    q_exponent = 2 * an.exponent  # a q value of A scales by 4^exponent
+    center = an.point(0j)
+    values = [an.point(v) for v in an.spectrum.values]
     sweep = hl.sweep_margins(ns, el.axis_sums(ns), n, SWEEP_K)
     return Trial(
         kind=kind,
@@ -89,20 +89,20 @@ def run_campaign_trial(kind: str, n: int, seed: int) -> Trial:
         seed=seed,
         frob=frob,
         mismatch=False,
-        q_total=d.q_total * square,
-        q_traceless=d.q_traceless * square,
-        dec1_residual=abs(d.q_total - (n * d.gamma**2 + d.q_traceless)) * square,
+        q_total=cli._scaled(d.q_total, q_exponent),
+        q_traceless=cli._scaled(d.q_traceless, q_exponent),
+        dec1_residual=cli._scaled(abs(d.q_total - (n * d.gamma**2 + d.q_traceless)), q_exponent),
         sum_residual=abs(sp.moment(values, 1) - mx.trace(a)),
         q_residual=abs(sp.moment(values, 2) - mx.q_form(a)),
         rho=max(abs(v) for v in values),
-        shifted_power=sum(abs(v - gamma) ** 2 for v in values),
-        max_mu=max(abs(v) for v in ns.mu) * length,
-        semimajor=an.ellipse.semimajor * length,
-        semiminor=an.ellipse.semiminor * length,
+        shifted_power=sum(abs(v - center) ** 2 for v in values),
+        max_mu=an.length(max(abs(v) for v in ns.mu)),
+        semimajor=an.length(an.ellipse.semimajor),
+        semiminor=an.length(an.ellipse.semiminor),
         verdict=an.containment.verdict,
-        min_margin=an.containment.min_margin * length,
-        sweep_min=min(sweep) * length,
-        bound=an.bound * length,
+        min_margin=an.length(an.containment.min_margin),
+        sweep_min=an.length(min(sweep)),
+        bound=cli._scaled(an.bound, an.exponent),
     )
 
 
@@ -148,23 +148,22 @@ def test_criterion_2_two_by_two_tightness():
     for t in range(500):
         seed = counter_value(CAMPAIGN_SEED + 1, t)
         an = cli.analyze(generate(EnsembleSpec(kind="Ginibre", n=2, seed=seed)))
-        # back from unit scale to the matrix's, where the thresholds are
-        length, containment = 2.0**an.exponent, an.containment
-        gamma = an.decomposition.gamma * length
-        values = [gamma + v * length for v in an.spectrum.values]
+        # back from the traceless frame to the matrix's, where the thresholds are
+        values = [an.point(v) for v in an.spectrum.values]
         scale = 1e-9 * (1.0 + max(abs(v) for v in values))
         remaining = list(values)
         worst = 0.0
-        for f in (gamma + f * length for f in an.ellipse.foci):
+        for f in (an.point(f) for f in an.ellipse.foci):
             j = min(range(len(remaining)), key=lambda i: abs(f - remaining[i]))
             worst = max(worst, abs(f - remaining[j]))
             remaining.pop(j)
         if worst > scale:
             failures.append(f"seed {seed}: foci off by {worst:.3e}")
-        if containment.min_margin * length > 1e-9:
-            failures.append(f"seed {seed}: margin {containment.min_margin * length:.3e} not tight")
-        if containment.verdict != hl.CONTAINED:
-            failures.append(f"seed {seed}: verdict {containment.verdict}")
+        margin = an.length(an.containment.min_margin)
+        if margin > 1e-9:
+            failures.append(f"seed {seed}: margin {margin:.3e} not tight")
+        if an.containment.verdict != hl.CONTAINED:
+            failures.append(f"seed {seed}: verdict {an.containment.verdict}")
     report(2, "n=2 tightness", not failures, "500 matrices, foci = eigenvalues")
     assert not failures, failures[:10]
 
@@ -222,11 +221,11 @@ def test_criterion_4_moment_identities(campaign):
 
 def ellipse_at_input_scale(a):
     """Center, semiaxes and major direction of the ellipse of `analyze`,
-    taken back from unit scale to the scale of a: A and T^-1 A T may have
-    different unit scales.  The ellipse is centered at gamma."""
+    taken back from the traceless frame to the scale of a: A and T^-1 A T
+    may have different unit scales."""
     an = cli.analyze(mx.as_matrix(a))
-    e, length = an.ellipse, 2.0**an.exponent
-    return an.decomposition.gamma * length, e.semimajor * length, e.semiminor * length, e.major_dir
+    e = an.ellipse
+    return an.point(0j), an.length(e.semimajor), an.length(e.semiminor), e.major_dir
 
 
 def test_criterion_5_similarity_invariance():

@@ -1082,6 +1082,8 @@ class TestTracelessFrame:
         # the eigenvalues gamma +- 1e-170 round to gamma
         assert all(abs(v - gamma) <= 1e-170 for v in eigenvalues_of(report))
         assert [v.real for v in eigenvalues_of(report)] == [gamma.real] * 2
+        # the ellipse is built at A0's own scale and keeps its size
+        assert math.isclose(report["ellipse"]["semimajor"], 1e-170, rel_tol=4 * sys.float_info.epsilon)
         assert report["containment"]["verdict"] == "Contained"
 
 

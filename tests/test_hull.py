@@ -97,6 +97,15 @@ class TestConvexHull:
         h = convex_hull([1e-22, -1e-22 - 1j, 1j])
         assert h.vertices == (-1e-22 - 1j, 1j)
 
+    @pytest.mark.parametrize(
+        "pts, ends",
+        [([0, 5e-324 - 1j, 5e-324 - 0.75j], (0, 5e-324 - 1j)), ([0, 5e-324 + 1e-12j, 0.5j], (0, 0.5j))],
+    )
+    def test_underflowing_cross_products_keep_the_far_end(self, pts, ends):
+        # every cross product here underflows to 0 in floats, which popped
+        # the far end; its exact sign keeps it (both found by hypothesis)
+        assert convex_hull(pts).vertices == ends
+
     def test_inputs_inside_hull(self):
         for _ in range(200):
             pts = tuple(
