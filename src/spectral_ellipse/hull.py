@@ -3,9 +3,10 @@
 The hull is Andrew's monotone chain with an orientation test that has no
 tolerance; only the duplicate and segment thresholds remain (`convex_hull`).
 
-Containment is decided by support-function comparison on the hull's edge
-normals, which is exact for polygon targets: a convex set lies inside a
-convex polygon iff its support is dominated on every outward edge normal.
+Containment compares support functions: a convex set lies inside a convex
+polygon iff its support is dominated on every outward edge normal.  Segment
+and point hulls take the same margins on fewer directions, plus a flatness
+condition on the ellipse, under one verdict rule (`contains_ellipse`).
 `directional_margin` is the independent second witness: it checks the
 directional inequality
 
@@ -129,69 +130,43 @@ def _dot(u: complex, v: complex) -> float:
 def contains_ellipse(h: HullPolygon, e: SpectralEllipse, slack: float) -> ContainmentReport:
     """Certify that the ellipse lies inside the hull, up to slack.
 
-    Polygon hulls compare supports on every outward edge normal, which is an
-    exact characterization.  A segment hull is one-dimensional: the ellipse
-    must itself be flat (perpendicular extent within slack on both sides) and
-    its projected interval must fit between the endpoints; the end margins
-    are the reported margins.  A point hull requires the ellipse to be that
-    point.  When a fat ellipse meets a lower-dimensional hull the comparison
-    is ill-posed and the verdict is Degenerate rather than a signed margin.
+    Each hull shape gives outward unit directions u, the vertex v each is
+    anchored at, and whether the ellipse is flat enough for it: a polygon
+    its edge normals, each at the edge's start vertex (always flat); a
+    segment v0 -> v1 of direction s, -s at v0 and s at v1 (flat when the
+    ellipse leaves the segment's line by at most slack on either side); a
+    point the four cardinal directions (flat when the semimajor is at most
+    slack).  The margins are <u, v> - support(e, u), and the report keeps
+    the first minimum.  A segment that is not flat is Degenerate before its
+    margins are read.  Otherwise every margin >= -slack is Contained, and
+    else the verdict is Violated if flat and Degenerate if not: a fat
+    ellipse against a lower-dimensional hull is ill-posed, not a signed miss.
     """
     verts = h.vertices
     m = len(verts)
-
     if m >= 3:
-        edges = [verts[(k + 1) % m] - verts[k] for k in range(m)]
+        edges = (verts[(k + 1) % m] - verts[k] for k in range(m))
         dirs = [complex(d.imag, -d.real) / abs(d) for d in edges]
-        margins = [_dot(u, v) - support(e, u) for u, v in zip(dirs, verts)]
-        worst = min(range(m), key=lambda i: margins[i])
-        verdict = CONTAINED if margins[worst] >= -slack else VIOLATED
-        return ContainmentReport(
-            verdict=verdict,
-            min_margin=margins[worst],
-            worst_direction=dirs[worst],
-        )
-
-    if m == 2:
+        anchors, flat = verts, True
+    elif m == 2:
         v0, v1 = verts
         s = (v1 - v0) / abs(v1 - v0)
-        margin_lo = _dot(-s, v0) - support(e, -s)
-        margin_hi = _dot(s, v1) - support(e, s)
-        normal = 1j * s
-        dev = max(
-            support(e, normal) - _dot(normal, v0),
-            support(e, -normal) - _dot(-normal, v0),
-        )
-        margins = (margin_lo, margin_hi)
-        worst = 0 if margin_lo <= margin_hi else 1
-        if dev > slack:
-            verdict = DEGENERATE
-        elif margins[worst] >= -slack:
-            verdict = CONTAINED
-        else:
-            verdict = VIOLATED
-        return ContainmentReport(
-            verdict=verdict,
-            min_margin=margins[worst],
-            worst_direction=(-s, s)[worst],
-        )
-
-    v = verts[0]
-    # written out: -1j would be complex(-0.0, -1.0)
-    cardinal = (complex(1.0, 0.0), complex(-1.0, 0.0), complex(0.0, 1.0), complex(0.0, -1.0))
-    margins = tuple(_dot(u, v) - support(e, u) for u in cardinal)
-    worst = min(range(4), key=lambda i: margins[i])
-    if margins[worst] >= -slack:
-        verdict = CONTAINED
-    elif e.semimajor <= slack:
-        verdict = VIOLATED  # two genuine points that simply differ
+        dirs, anchors = (-s, s), verts
+        flat = all(support(e, u) - _dot(u, v0) <= slack for u in (1j * s, -1j * s))
     else:
-        verdict = DEGENERATE  # extended ellipse against a zero-dimensional hull
-    return ContainmentReport(
-        verdict=verdict,
-        min_margin=margins[worst],
-        worst_direction=cardinal[worst],
-    )
+        # written out: -1j would be complex(-0.0, -1.0)
+        dirs = (complex(1.0, 0.0), complex(-1.0, 0.0), complex(0.0, 1.0), complex(0.0, -1.0))
+        anchors, flat = verts * 4, e.semimajor <= slack
+
+    margins = [_dot(u, v) - support(e, u) for u, v in zip(dirs, anchors)]
+    worst = min(range(len(margins)), key=margins.__getitem__)
+    if m == 2 and not flat:
+        verdict = DEGENERATE
+    elif margins[worst] >= -slack:
+        verdict = CONTAINED
+    else:
+        verdict = VIOLATED if flat else DEGENERATE
+    return ContainmentReport(verdict=verdict, min_margin=margins[worst], worst_direction=dirs[worst])
 
 
 def directional_margin(ns: NormalizedSpectrum, ax: AxisSums, n: int, u: complex) -> float:

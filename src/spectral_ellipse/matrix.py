@@ -2,7 +2,8 @@
 LAPACK similarity transforms, and the Faddeev-LeVerrier characteristic polynomial.
 
 Matrices are square numpy complex128 arrays; `as_matrix` is the validating
-entry point for externally supplied data.  All operations are pure.
+entry point for externally supplied data.  It takes over a C-ordered complex
+argument and freezes it in place; every other operation is pure.
 """
 
 from __future__ import annotations
@@ -14,9 +15,13 @@ import numpy as np
 
 
 def as_matrix(entries) -> np.ndarray:
-    """Validate and freeze a square complex matrix from any array-like,
-    copied into C order."""
-    a = np.array(entries, dtype=complex, order="C")
+    """Validate and freeze a square complex matrix from any array-like.
+
+    Anything but a C-ordered complex array is copied into a new one.  A
+    C-ordered complex argument is taken over, not copied: it is made
+    read-only and returned, and the caller must not write to it again, nor
+    to any array whose data it views."""
+    a = np.asarray(entries, dtype=complex, order="C")
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):

@@ -95,7 +95,7 @@ def _mtx_chunks(text: str, pos: int):
 
 
 def _column_major(values: np.ndarray, n: int, width: int) -> np.ndarray:
-    data = values.view(complex) if width == 2 else values.astype(complex)
+    data = values.view(complex) if width == 2 else values  # as_matrix converts real data
     return as_matrix(data.reshape(n, n).T)  # array data runs down columns
 
 

@@ -533,22 +533,33 @@ class TestParserParity:
         if fault in (None, "spaced", "-0"):
             assert same_bits(parse_json_matrix(text), a)
 
-    @pytest.mark.parametrize("fmt", ["mtx", "json"])
+    @pytest.mark.parametrize("fmt", ["mtx", "mtx-real", "json"])
     def test_peak_memory_is_the_text_and_a_few_copies_of_the_matrix(self, tmp_path, fmt):
         n = 256
         rng = np.random.default_rng(7)
-        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        text = mtx_text(a) if fmt == "mtx" else json_text(a)
-        path = tmp_path / f"m.{fmt}"
+        if fmt == "mtx-real":
+            a = rng.standard_normal((n, n)).astype(complex)
+            body = "\n".join(repr(x) for x in a.real.T.ravel().tolist())
+            text = "\n".join(["%%MatrixMarket matrix array real general", f"{n} {n}", body, ""])
+        else:
+            a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            text = mtx_text(a) if fmt == "mtx" else json_text(a)
+        path = tmp_path / f"m.{fmt.split('-')[0]}"
         path.write_text(text)
-        tracemalloc.start()
-        try:
-            parsed = load_matrix(str(path))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert same_bits(parsed, a)
-        assert peak <= len(text) + 4 * 16 * n * n
+        parse = parse_json_matrix if fmt == "json" else parse_mtx
+        peaks = []
+        for read in (lambda: load_matrix(str(path)), lambda: parse(text)):
+            tracemalloc.start()
+            try:
+                parsed = read()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert same_bits(parsed, a)
+        assert peaks[0] <= len(text) + 4 * 16 * n * n
+        # the value array and the frozen matrix, plus the transpose of
+        # complex array data; real data is converted and transposed at once
+        assert peaks[1] <= (3 if fmt == "mtx" else 2) * 16 * n * n
 
     @pytest.mark.parametrize(
         "text",
@@ -1026,6 +1037,16 @@ class TestTraceOnlyLower:
         a = (np.array(parts[0::2]) + 1j * np.array(parts[1::2])).reshape(n, n) + gamma * np.eye(n)
         report = cli.bound_report(a)
         assert report["trace_only_lower"] == farther_focus(report)
+
+    @pytest.mark.parametrize(
+        "k", [530, pytest.param(600, marks=pytest.mark.xfail(reason="a_ii^2 = 2^-2(k+1) underflows at A's unit scale"))]
+    )
+    def test_large_corner_keeps_the_diagonal(self, k):
+        # [[1, 2^k], [0, -1]] has Q(A0) = 2 and foci +-1 whatever the corner
+        report = cli.bound_report(np.array([[1, 2.0**k], [0, -1]], dtype=complex))
+        assert report["q_traceless"] == {"re": 2.0, "im": 0.0}
+        assert [complex(f["re"], f["im"]) for f in report["foci"]] == [1, -1]
+        assert report["trace_only_lower"] == 1.0
 
     @pytest.mark.parametrize("name", sorted(os.listdir(GOLDEN_INPUTS)) + ["shifted"])
     def test_analyze_reports_the_bound_of_bound(self, tmp_path, capsys, name):

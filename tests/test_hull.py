@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from spectral_ellipse.ellipse import (
     DimensionTooSmall,
+    SpectralEllipse,
     ZeroDirection,
     axis_sums,
     ellipse_from_normalized,
@@ -52,6 +54,10 @@ def near_collinear_points(draw):
     ts = draw(st.lists(st.floats(-10.0, 10.0, allow_nan=False), min_size=1, max_size=8))
     off = draw(st.lists(st.tuples(unit, unit), max_size=2))
     return [c + t * d for t in ts] + [complex(x, y) for x, y in off]
+
+
+def by_coordinates(z):
+    return (z.real, z.imag)
 
 
 def point_ellipse():
@@ -138,14 +144,21 @@ class TestConvexHull:
         base = convex_hull([0, 1, 1j, -1, -1j, 0.5 + 0.5j, 0.25 - 0.125j, -0.7 + 0.2j, 0.9 + 0.01j])
         assert convex_hull(pts).vertices == base.vertices
 
-    @given(near_collinear_points(), st.sampled_from(TRANSFORMS))
+    @given(
+        near_collinear_points(),
+        st.sampled_from(TRANSFORMS),
+        st.floats(0.0, 10.0),
+        st.sampled_from((0.0, 1e-12, 0.5, 1.0)),
+        st.floats(0.0, 2.0 * math.pi),
+    )
     @settings(max_examples=300, deadline=None)
-    def test_exact_maps_commute_with_the_hull(self, pts, transform):
+    def test_exact_maps_commute_with_the_hull(self, pts, transform, semimajor, ratio, angle):
         # i*P, conj(P) and -P are exact in floating point, so the hull of
         # the image is the image of the hull; vertex lists may differ by a
         # point collinear up to rounding, so compare support functions
-        hull = convex_hull(pts).vertices
-        image = convex_hull([transform(p) for p in pts]).vertices
+        h = convex_hull(pts)
+        h_image = convex_hull([transform(p) for p in pts])
+        hull, image = h.vertices, h_image.vertices
         tol = DUPLICATE_REL_TOL * (1.0 + max(abs(p) for p in pts))
         if 2 in (len(hull), len(image)):
             # a collapse to a segment moves the hull by up to SEGMENT_REL_TOL
@@ -154,6 +167,21 @@ class TestConvexHull:
             tol += SEGMENT_REL_TOL * max(abs(p - q) for p in pts for q in pts)
         want = support_on_sweep([transform(v) for v in hull])
         assert np.max(np.abs(support_on_sweep(image) - want)) <= tol
+
+        # containment commutes too, with the ellipse's axis mapped alongside,
+        # wherever the hull of the image is the image of the hull; a merge or
+        # collapse that follows the coordinates can change the hull's shape,
+        # and with it the verdict of an ellipse that meets the slack exactly
+        def ellipse(d):
+            return SpectralEllipse(semimajor=semimajor, semiminor=ratio * semimajor, major_dir=d, foci=(0j, 0j))
+
+        if sorted(image, key=by_coordinates) == sorted(map(transform, hull), key=by_coordinates):
+            d = cmath.exp(1j * angle)
+            slack = 1e-8 * (1.0 + max(abs(p) for p in pts))
+            rep = contains_ellipse(h, ellipse(d), slack)
+            rep_image = contains_ellipse(h_image, ellipse(transform(d)), slack)
+            assert rep_image.verdict == rep.verdict
+            assert abs(rep_image.min_margin - rep.min_margin) <= tol
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -176,6 +204,8 @@ class TestContainsEllipse:
         rep = contains_ellipse(h, e, 1e-11)
         assert rep.verdict == CONTAINED
         assert abs(rep.min_margin - (1 / math.sqrt(2) - 1 / 3)) < 1e-12
+        # the four margins are one float; the first edge, -1 -> -1j, is reported
+        assert rep.worst_direction == (-1 - 1j) / abs(1 - 1j)
 
     def test_tight_two_point_case(self):
         h = convex_hull((1, -1))
@@ -183,6 +213,7 @@ class TestContainsEllipse:
         rep = contains_ellipse(h, e, 1e-11)
         assert rep.verdict == CONTAINED
         assert abs(rep.min_margin) < 1e-13
+        assert (rep.min_margin, rep.worst_direction) == (0.0, -1)  # a tie: the first end
 
     def test_point_hull_point_ellipse(self):
         h = convex_hull((0, 0))
@@ -190,6 +221,7 @@ class TestContainsEllipse:
         rep = contains_ellipse(h, e, 1e-11)
         assert rep.verdict == CONTAINED
         assert abs(rep.min_margin) < 1e-13
+        assert (rep.min_margin, rep.worst_direction) == (0.0, 1)  # a tie: the first direction
 
     def test_point_hull_displaced_point_is_violated(self):
         h = convex_hull((-2,))
@@ -214,6 +246,15 @@ class TestContainsEllipse:
         e = inscribed_ellipse((1, -1), 2)  # segment [-1, 1]
         rep = contains_ellipse(h, e, 1e-9)
         assert rep.verdict == VIOLATED
+
+    def test_point_hull_reads_margins_before_flatness(self):
+        # a diagonal segment ellipse of semimajor 1.2e-9 reaches 1.2e-9/sqrt(2)
+        # along each axis: inside the 1e-9 slack, though not flat within it
+        h = convex_hull((0,))
+        e = SpectralEllipse(semimajor=1.2e-9, semiminor=0.0, major_dir=cmath.exp(1j * math.pi / 4), foci=(0j, 0j))
+        rep = contains_ellipse(h, e, 1e-9)
+        assert rep.verdict == CONTAINED
+        assert rep.min_margin == pytest.approx(-1.2e-9 / math.sqrt(2), rel=1e-12)
 
     def test_polygon_too_small_is_violated(self):
         h = convex_hull((0.01, 0.01j, -0.01, -0.01j))

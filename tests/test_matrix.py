@@ -46,6 +46,14 @@ class TestBasics:
         with pytest.raises(ValueError):
             a[0, 0] = 5
 
+    def test_as_matrix_takes_over_only_c_ordered_complex(self):
+        owned = np.zeros((3, 3), dtype=complex)
+        assert as_matrix(owned) is owned and not owned.flags.writeable
+        for other in (np.zeros((3, 3)), np.zeros((3, 3), dtype=complex, order="F")):
+            a = as_matrix(other)
+            assert not np.shares_memory(a, other) and other.flags.writeable
+            assert a.flags.c_contiguous and a.dtype == complex
+
     def test_trace_diag(self):
         assert trace(as_matrix(np.diag([1, 2, 3]))) == 6
 
