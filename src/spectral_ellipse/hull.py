@@ -1,7 +1,9 @@
 """Convex hull of a spectrum and certified ellipse containment.
 
-The hull is Andrew's monotone chain with an orientation test that has no
-tolerance; only the duplicate and segment thresholds remain (`convex_hull`).
+The hull is exactly the hull of the points it is given: Andrew's monotone
+chain over the distinct points, popping on the exact sign of a cross product
+(`_cross`), with no duplicate, segment or orientation threshold
+(`convex_hull`).
 
 Containment compares support functions: a convex set lies inside a convex
 polygon iff its support is dominated on every outward edge normal.  Segment
@@ -18,6 +20,7 @@ spectrum, without constructing the ellipse.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -33,10 +36,6 @@ from .ellipse import (
     support,
 )
 
-DUPLICATE_REL_TOL = 1e-14
-SEGMENT_REL_TOL = 1e-10
-_NORMAL_MIN = 2.0**-1022
-
 CONTAINED = "Contained"
 VIOLATED = "Violated"
 DEGENERATE = "Degenerate"
@@ -44,8 +43,9 @@ DEGENERATE = "Degenerate"
 
 @dataclass(frozen=True)
 class HullPolygon:
-    """Hull vertices in counterclockwise order; may degenerate to a segment
-    (2 vertices) or a single point."""
+    """The strict extreme points of a finite point set, counterclockwise: a
+    polygon, a segment (2 vertices, in (re, im) order) when the points are
+    exactly collinear, or a single point when they are all equal."""
 
     vertices: tuple[complex, ...]
 
@@ -58,39 +58,37 @@ class ContainmentReport:
 
 
 def _cross(o: complex, a: complex, b: complex) -> float | Fraction:
-    """(a - o) x (b - o), exact where a float product of nonzero factors may
-    have underflowed and taken the sign with it (below the normal range)."""
+    """(a - o) x (b - o), with the sign of the exact value.
+
+    The float value c is returned where |c| > 4 eps (|x1 y2| + |y1 x2|)
+    + 2^-1000, eps = 2^-53: Shewchuk's orient2d bound on the error of c is
+    (3 + 16 eps) eps (...), and the floor covers products that underflowed.
+    Otherwise, also where a difference or product overflowed (inf or NaN
+    fails the test), the exact value is formed from the input coordinates."""
     x1, y1, x2, y2 = a.real - o.real, a.imag - o.imag, b.real - o.real, b.imag - o.imag
-    c = x1 * y2 - y1 * x2
-    if abs(c) >= _NORMAL_MIN or not (x1 and y2 or y1 and x2):
+    left, right = x1 * y2, y1 * x2
+    c = left - right
+    if abs(c) > 2.0**-51 * (abs(left) + abs(right)) + 2.0**-1000:
         return c
-    return Fraction(x1) * Fraction(y2) - Fraction(y1) * Fraction(x2)
-
-
-def _dedupe(points: list[complex]) -> list[complex]:
-    tol = DUPLICATE_REL_TOL * (1.0 + max(abs(p) for p in points))
-    kept: list[complex] = []
-    for p in sorted(points, key=lambda z: (z.real, z.imag)):
-        if all(abs(p - q) > tol for q in kept):
-            kept.append(p)
-    return kept
+    ox, oy = Fraction(o.real), Fraction(o.imag)
+    return (Fraction(a.real) - ox) * (Fraction(b.imag) - oy) - (Fraction(a.imag) - oy) * (Fraction(b.real) - ox)
 
 
 def convex_hull(points) -> HullPolygon:
     """Counterclockwise hull by Andrew's monotone chain.
 
-    The chains pop a point on the sign of the cross product alone, with no
-    tolerance, so a point leaves the hull only when it lies inside it or
-    within rounding of one of its edges.  Two thresholds remain: points within
-    DUPLICATE_REL_TOL * (1 + max|p|) of a kept point merge into it, and a
-    hull whose vertices all lie within SEGMENT_REL_TOL * diameter of the
-    line through its farthest pair becomes that segment.  Points collinear
-    only up to rounding may stay as vertices; the hull is the same set
-    either way."""
+    The chains run over the distinct points in (re, im) order and pop a
+    point when the exact cross product is <= 0, so the vertices are exactly
+    the strict extreme points of the input: a point collinear only up to
+    rounding stays a vertex of a thin polygon, and only exactly collinear or
+    exactly equal points give a segment or a point.  Every finite input has
+    a hull; an empty or non-finite one raises ValueError."""
     pts = [complex(p) for p in points]
     if not pts:
         raise ValueError("convex hull needs at least one point")
-    uniq = _dedupe(pts)
+    if not all(map(cmath.isfinite, pts)):
+        raise ValueError("hull points must be finite")
+    uniq = sorted(set(pts), key=lambda z: (z.real, z.imag))
     if len(uniq) == 1:
         return HullPolygon(vertices=(uniq[0],))
 
@@ -105,21 +103,6 @@ def convex_hull(points) -> HullPolygon:
     # a chain never pops its first point, so hull starts at uniq[0] and
     # holds uniq[-1]: a two-vertex hull is already in (re, im) order
     hull = build(uniq)[:-1] + build(reversed(uniq))[:-1]
-
-    far_p, far_q = max(
-        ((p, q) for p in hull for q in hull),
-        key=lambda pq: (abs(pq[0] - pq[1]), (pq[0].real, pq[0].imag, pq[1].real, pq[1].imag)),
-    )
-    diameter = abs(far_p - far_q)
-
-    # collapse to a segment when every vertex hugs the extreme-pair line
-    if len(hull) > 2:
-        axis = (far_q - far_p) / diameter
-        off_line = max(abs(((v - far_p) * axis.conjugate()).imag) for v in hull)
-        if off_line <= SEGMENT_REL_TOL * diameter:
-            ends = sorted((far_p, far_q), key=lambda z: (z.real, z.imag))
-            return HullPolygon(vertices=tuple(ends))
-
     return HullPolygon(vertices=tuple(hull))
 
 

@@ -620,10 +620,10 @@ class TestAnalyze:
 
     def test_extremal_family_matrix(self, tmp_path, capsys):
         # the repeated eigenvalue -1 is recovered only to the multiple-root
-        # noise level (~1e-10 here), which straddles the segment-collapse
-        # threshold: the hull may come back as [-1, 2] (margin 1 - sqrt(3)/2)
-        # or as a sliver triangle whose short-edge margin is ~0; containment
-        # holds either way
+        # noise level (~1e-10 here): the hull is a sliver triangle whose
+        # short-edge margin is ~0, or [-1, 2] (margin 1 - sqrt(3)/2) where
+        # the noise leaves the three exactly collinear; containment holds
+        # either way
         a = generate(EnsembleSpec("RemarkExtremal", 3, 99))
         entries = [[v.real, v.imag] for v in np.asarray(a).ravel()]
         path = write_json_matrix(tmp_path / "remark.json", entries, 3)

@@ -1,9 +1,10 @@
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spectral_ellipse.ellipse import (
@@ -18,9 +19,8 @@ from spectral_ellipse.ellipse import (
 from spectral_ellipse.hull import (
     CONTAINED,
     DEGENERATE,
-    DUPLICATE_REL_TOL,
-    SEGMENT_REL_TOL,
     VIOLATED,
+    _cross,
     contains_ellipse,
     convex_hull,
     directional_margin,
@@ -32,13 +32,6 @@ from spectral_ellipse.spectrum import eigenvalues
 RNG = np.random.default_rng(31337)
 
 TRANSFORMS = (lambda z: 1j * z, lambda z: z.conjugate(), lambda z: -z)
-SWEEP = np.exp(2j * np.pi * np.arange(720) / 720)
-
-
-def support_on_sweep(vertices):
-    """max over the vertices of Re(conj(u) v), at the 720 sweep directions u."""
-    v = np.asarray(vertices, dtype=complex)
-    return np.max((np.conj(SWEEP)[:, None] * v[None, :]).real, axis=1)
 
 
 @st.composite
@@ -58,6 +51,87 @@ def near_collinear_points(draw):
 
 def by_coordinates(z):
     return (z.real, z.imag)
+
+
+def exact_cross(o, a, b):
+    """(a - o) x (b - o) in exact rational arithmetic on the float inputs."""
+    ox, oy = Fraction(o.real), Fraction(o.imag)
+    return (Fraction(a.real) - ox) * (Fraction(b.imag) - oy) - (Fraction(a.imag) - oy) * (Fraction(b.real) - ox)
+
+
+def sign(x):
+    return (x > 0) - (x < 0)
+
+
+def assert_exact_hull(pts, vertices):
+    """The vertices are input points in strictly convex counterclockwise
+    order (exactly collinear or equal inputs: a segment or a point), and
+    every input lies on or inside every edge, by the exact orientation."""
+    assert set(vertices) <= set(pts)
+    assert len(set(vertices)) == len(vertices)
+    m = len(vertices)
+    if m == 1:
+        assert set(pts) == set(vertices)
+    elif m == 2:
+        v0, v1 = vertices
+        assert by_coordinates(v0) < by_coordinates(v1)
+        for p in pts:
+            assert exact_cross(v0, v1, p) == 0
+            assert by_coordinates(v0) <= by_coordinates(p) <= by_coordinates(v1)
+    else:
+        for k in range(m):
+            v0, v1 = vertices[k], vertices[(k + 1) % m]
+            assert exact_cross(v0, v1, vertices[(k + 2) % m]) > 0
+            for p in pts:
+                assert exact_cross(v0, v1, p) >= 0
+
+
+MAX = 1.7976931348623157e308
+EXTREME = (0.0, 5e-324, -5e-324, 2.0**-1022, -(2.0**-1022), 1.0, -1.0, MAX, -MAX)
+coordinates = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(-1.0, 1.0),
+    st.sampled_from(EXTREME),
+)
+points = st.builds(complex, coordinates, coordinates)
+
+
+@st.composite
+def collinear_triples(draw):
+    """Three points that are exactly collinear before any rounding, then maybe
+    one coordinate moved by an ulp: integer steps o + t d scaled by a power
+    of two per axis (rounded where the scale is subnormal), or one point z
+    scaled by three powers of two, through 0."""
+    nudge = draw(st.sampled_from((None, 0, 1, 2, 3, 4, 5)))
+    if draw(st.booleans()):
+        ints = st.integers(-(2**20), 2**20)
+        ox, oy, dx, dy = (draw(ints) for _ in range(4))
+        ex, ey = (draw(st.integers(-1100, 960)) for _ in range(2))
+        coords = []
+        for _ in range(3):
+            t = draw(ints)
+            coords += [math.ldexp(ox + t * dx, ex), math.ldexp(oy + t * dy, ey)]
+    else:
+        z = draw(points)
+        top = 1024 - math.frexp(max(abs(z.real), abs(z.imag)))[1]  # no overflow
+        coords = []
+        for _ in range(3):
+            j = draw(st.integers(-60, min(60, top)))
+            coords += [math.ldexp(z.real, j), math.ldexp(z.imag, j)]
+    if nudge is not None:
+        moved = math.nextafter(coords[nudge], draw(st.sampled_from((math.inf, -math.inf))))
+        coords[nudge] = moved if math.isfinite(moved) else math.nextafter(moved, 0.0)
+    return tuple(complex(coords[k], coords[k + 1]) for k in (0, 2, 4))
+
+
+@st.composite
+def extreme_point_sets(draw):
+    """Up to eight points from the full float range (subnormals up to
+    +-1.8e308) or a near-collinear line, maybe with a collinear triple."""
+    pts = draw(st.one_of(st.lists(points, min_size=1, max_size=8), near_collinear_points()))
+    if draw(st.booleans()):
+        pts += draw(collinear_triples())
+    return pts
 
 
 def point_ellipse():
@@ -83,34 +157,48 @@ class TestConvexHull:
         h = convex_hull((3 + 4j, 3 + 4j))
         assert h.vertices == (3 + 4j,)
 
-    def test_duplicate_threshold_grows_with_the_points(self):
-        # 1e-14 * (1 + max|p|): 3e-14 apart is one point at 3, two at 0
-        assert convex_hull((3, 3 + 3e-14)).vertices == (3,)
-        assert len(convex_hull((0, 3e-14)).vertices) == 2
+    def test_only_exact_duplicates_merge(self):
+        assert convex_hull((3, 3)).vertices == (3,)
+        assert convex_hull((3, 3 + 3e-14)).vertices == (3, 3 + 3e-14)
+        # the exact eigenvalues of [[1, 2^600], [0, -1]] at A0's unit scale
+        tiny = 2.0**-601
+        assert convex_hull((tiny, -tiny)).vertices == (-tiny, tiny)
 
     def test_counterclockwise_square(self):
         h = convex_hull((1, 1j, -1, -1j))
         assert h.vertices == (-1, -1j, 1, 1j)
 
-    def test_near_collinear_collapses(self):
-        pts = (0, 1, 0.5 + 1e-12j)
-        h = convex_hull(pts)
-        assert h.vertices == (0, 1)
+    def test_only_exact_collinearity_gives_a_segment(self):
+        assert convex_hull((0, 1, 0.5 + 1e-12j)).vertices == (0, 1, 0.5 + 1e-12j)
+        assert convex_hull((0, 1, 0.5)).vertices == (0, 1)
 
     def test_near_vertical_line_keeps_both_ends(self):
-        # the (re, im) sort follows the 1e-22 rounding noise, not the line;
-        # a 1e-12 relative tolerance in the orientation test drops the end at 1j
+        # the (re, im) sort follows the 1e-22 offsets, not the line; a 1e-12
+        # relative tolerance in the orientation test drops the end at 1j, and
+        # the exact test keeps the middle point 2e-22 off the line as well
         h = convex_hull([1e-22, -1e-22 - 1j, 1j])
-        assert h.vertices == (-1e-22 - 1j, 1j)
+        assert h.vertices == (-1e-22 - 1j, 1e-22, 1j)
 
     @pytest.mark.parametrize(
         "pts, ends",
         [([0, 5e-324 - 1j, 5e-324 - 0.75j], (0, 5e-324 - 1j)), ([0, 5e-324 + 1e-12j, 0.5j], (0, 0.5j))],
     )
     def test_underflowing_cross_products_keep_the_far_end(self, pts, ends):
-        # every cross product here underflows to 0 in floats, which popped
-        # the far end; its exact sign keeps it (both found by hypothesis)
-        assert convex_hull(pts).vertices == ends
+        # every float cross product here underflows to 0, which popped the
+        # far end (both found by hypothesis); the exact sign keeps both ends,
+        # and the third point, 5e-324 off their line, makes the hull the thin
+        # counterclockwise triangle of all three
+        h = convex_hull(pts).vertices
+        assert set(ends) <= set(h)
+        assert h == tuple(pts)
+
+    def test_total_on_finite_input(self):
+        # differences of 2e308 overflow; the exact orientation still holds
+        big = [1e308 + 1e308j, -1e308 - 1e308j, 1e308 - 1e308j]
+        assert convex_hull(big).vertices == (-1e308 - 1e308j, 1e308 - 1e308j, 1e308 + 1e308j)
+        for bad in ([0, 1, math.nan], [0, 1, math.inf], [0, 1, complex(0.0, -math.inf)]):
+            with pytest.raises(ValueError, match="finite"):
+                convex_hull(bad)
 
     def test_inputs_inside_hull(self):
         for _ in range(200):
@@ -118,21 +206,12 @@ class TestConvexHull:
                 complex(a, b)
                 for a, b in RNG.uniform(-2, 2, size=(int(RNG.integers(1, 25)), 2))
             )
-            h = convex_hull(pts)
-            if len(h.vertices) < 3:
-                continue
-            m = len(h.vertices)
-            diameter = max(abs(p - q) for p in pts for q in pts)
-            for p in pts:
-                # support margin on every edge normal must cover the point
-                for k in range(m):
-                    v0 = h.vertices[k]
-                    v1 = h.vertices[(k + 1) % m]
-                    edge = v1 - v0
-                    n_hat = complex(edge.imag, -edge.real) / abs(edge)
-                    proj = n_hat.real * p.real + n_hat.imag * p.imag
-                    hsup = n_hat.real * v0.real + n_hat.imag * v0.imag
-                    assert proj <= hsup + 1e-12 * max(diameter, 1e-30)
+            assert_exact_hull(pts, convex_hull(pts).vertices)
+
+    @given(extreme_point_sets())
+    @settings(max_examples=300, deadline=None)
+    def test_vertices_are_exactly_the_extreme_points(self, pts):
+        assert_exact_hull(pts, convex_hull(pts).vertices)
 
     @given(
         st.permutations(
@@ -151,41 +230,45 @@ class TestConvexHull:
         st.sampled_from((0.0, 1e-12, 0.5, 1.0)),
         st.floats(0.0, 2.0 * math.pi),
     )
+    @example([0, -1e-12, -2e-12, 1e-14j], TRANSFORMS[0], 1.0, 0.0, 1.0)
+    @example([0, 1e-22], TRANSFORMS[2], 1e-8, 0.0, 0.0)
+    @example([4 + 1.2525610998326338j, 0.5 + 0.15657013747907922j, 0], TRANSFORMS[1], 1.0, 0.0, 0.5)
     @settings(max_examples=300, deadline=None)
     def test_exact_maps_commute_with_the_hull(self, pts, transform, semimajor, ratio, angle):
-        # i*P, conj(P) and -P are exact in floating point, so the hull of
-        # the image is the image of the hull; vertex lists may differ by a
-        # point collinear up to rounding, so compare support functions
+        # i*P, conj(P) and -P are exact in floating point, and the hull holds
+        # exactly the extreme points, so the hull of the image is the image
+        # of the hull, vertex for vertex
         h = convex_hull(pts)
         h_image = convex_hull([transform(p) for p in pts])
-        hull, image = h.vertices, h_image.vertices
-        tol = DUPLICATE_REL_TOL * (1.0 + max(abs(p) for p in pts))
-        if 2 in (len(hull), len(image)):
-            # a collapse to a segment moves the hull by up to SEGMENT_REL_TOL
-            # times its diameter, and the farthest pair it keeps on a tie
-            # follows the coordinates, which the map permutes
-            tol += SEGMENT_REL_TOL * max(abs(p - q) for p in pts for q in pts)
-        want = support_on_sweep([transform(v) for v in hull])
-        assert np.max(np.abs(support_on_sweep(image) - want)) <= tol
+        image = sorted(h_image.vertices, key=by_coordinates)
+        assert image == sorted(map(transform, h.vertices), key=by_coordinates)
 
-        # containment commutes too, with the ellipse's axis mapped alongside,
-        # wherever the hull of the image is the image of the hull; a merge or
-        # collapse that follows the coordinates can change the hull's shape,
-        # and with it the verdict of an ellipse that meets the slack exactly
+        # and containment commutes, with the ellipse's axis mapped alongside
         def ellipse(d):
             return SpectralEllipse(semimajor=semimajor, semiminor=ratio * semimajor, major_dir=d, foci=(0j, 0j))
 
-        if sorted(image, key=by_coordinates) == sorted(map(transform, hull), key=by_coordinates):
-            d = cmath.exp(1j * angle)
-            slack = 1e-8 * (1.0 + max(abs(p) for p in pts))
-            rep = contains_ellipse(h, ellipse(d), slack)
-            rep_image = contains_ellipse(h_image, ellipse(transform(d)), slack)
-            assert rep_image.verdict == rep.verdict
-            assert abs(rep_image.min_margin - rep.min_margin) <= tol
+        d = cmath.exp(1j * angle)
+        slack = 1e-8 * (1.0 + max(abs(p) for p in pts))
+        rep = contains_ellipse(h, ellipse(d), slack)
+        rep_image = contains_ellipse(h_image, ellipse(transform(d)), slack)
+        assert rep_image.verdict == rep.verdict
+        # the edge directions map exactly, but conj reverses the vertex
+        # order and anchors each edge at its other end: the two ends'
+        # projections on its normal agree up to a few roundings of the points
+        assert abs(rep_image.min_margin - rep.min_margin) <= 2.0**-48 * max(abs(p) for p in pts)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             convex_hull(())
+
+
+class TestCross:
+    @given(st.one_of(st.tuples(points, points, points), collinear_triples()))
+    @example((2.22e-16j, 1 + 1.0000000000000002j, 3 + 3j))
+    @example((4 + 1.2525610998326338j, 0.5 + 0.15657013747907922j, 0j))
+    @settings(max_examples=2000, deadline=None)
+    def test_sign_is_exact(self, triple):
+        assert sign(_cross(*triple)) == sign(exact_cross(*triple))
 
 
 class TestContainsEllipse:
