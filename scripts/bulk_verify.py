@@ -24,7 +24,7 @@ def main() -> int:
     parser.add_argument("--trials", type=_at_least(1), default=100)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--sizes", type=_at_least(2), nargs="+", default=[2, 3, 4, 8, 16])
-    parser.add_argument("--sweep-k", type=_at_least(4), default=720)
+    parser.add_argument("--sweep-k", type=_at_least(4), default=PipelineSettings().sweep_k)
     args = parser.parse_args()
 
     settings = PipelineSettings(sweep_k=args.sweep_k)

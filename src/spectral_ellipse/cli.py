@@ -41,7 +41,7 @@ CSV_HEADER = "seed,n,q_abs,a,b,min_margin,sweep_min,verdict"
 class PipelineSettings:
     """Knobs shared by the analysis pipeline and verification campaigns."""
 
-    moment_tol: float = 1e-8
+    moment_tol: float = sp.DEFAULT_MOMENT_TOL
     slack_scale: float = 1e-8
     sweep_k: int = 720
 
@@ -278,12 +278,13 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    defaults = PipelineSettings()
 
     pa = sub.add_parser("analyze", help="full pipeline report for one matrix file")
     pa.add_argument("path")
     pa.add_argument("--format", choices=("mtx", "json"), default=None)
-    pa.add_argument("--tol", type=_at_least(0.0, float), default=1e-8, help="moment tolerance scale")
-    pa.add_argument("--slack", type=_at_least(0.0, float), default=1e-8, help="containment slack scale")
+    pa.add_argument("--tol", type=_at_least(0.0, float), default=defaults.moment_tol, help="moment tolerance scale")
+    pa.add_argument("--slack", type=_at_least(0.0, float), default=defaults.slack_scale, help="containment slack scale")
     pa.add_argument("--json", dest="json_path", default=None, help="also write the report here")
     pa.add_argument("--svg", dest="svg_path", default=None, help="write an SVG plot here")
 
@@ -292,9 +293,9 @@ def _build_parser() -> argparse.ArgumentParser:
     pv.add_argument("-n", "--dimension", dest="n", type=_at_least(2), required=True)
     pv.add_argument("--trials", type=_at_least(1), default=100)
     pv.add_argument("--seed", type=int, default=0)
-    pv.add_argument("--tol", type=_at_least(0.0, float), default=1e-8)
-    pv.add_argument("--slack", type=_at_least(0.0, float), default=1e-8)
-    pv.add_argument("--sweep-k", type=_at_least(4), default=720)
+    pv.add_argument("--tol", type=_at_least(0.0, float), default=defaults.moment_tol)
+    pv.add_argument("--slack", type=_at_least(0.0, float), default=defaults.slack_scale)
+    pv.add_argument("--sweep-k", type=_at_least(4), default=defaults.sweep_k)
     pv.add_argument("--csv", dest="csv_path", default=None, help="write the trial CSV here")
 
     pt = sub.add_parser("tightness", help="extremal family table for n = 2..n_max")

@@ -110,6 +110,16 @@ def _dot(u: complex, v: complex) -> float:
     return u.real * v.real + u.imag * v.imag
 
 
+def _step(v0: complex, v1: complex) -> complex:
+    """v1 - v0, or, where its length overflows, half of it as
+    0.5 v1 - 0.5 v0 part by part, which is exact that far above the
+    subnormal range; both give one direction d/|d|."""
+    d = v1 - v0
+    if math.isfinite(abs(d)):
+        return d
+    return complex(0.5 * v1.real - 0.5 * v0.real, 0.5 * v1.imag - 0.5 * v0.imag)
+
+
 def contains_ellipse(h: HullPolygon, e: SpectralEllipse, slack: float) -> ContainmentReport:
     """Certify that the ellipse lies inside the hull, up to slack.
 
@@ -128,12 +138,13 @@ def contains_ellipse(h: HullPolygon, e: SpectralEllipse, slack: float) -> Contai
     verts = h.vertices
     m = len(verts)
     if m >= 3:
-        edges = (verts[(k + 1) % m] - verts[k] for k in range(m))
+        edges = (_step(verts[k], verts[(k + 1) % m]) for k in range(m))
         dirs = [complex(d.imag, -d.real) / abs(d) for d in edges]
         anchors, flat = verts, True
     elif m == 2:
         v0, v1 = verts
-        s = (v1 - v0) / abs(v1 - v0)
+        d = _step(v0, v1)
+        s = d / abs(d)
         dirs, anchors = (-s, s), verts
         flat = all(support(e, u) - _dot(u, v0) <= slack for u in (1j * s, -1j * s))
     else:

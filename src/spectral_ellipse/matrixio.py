@@ -1,15 +1,14 @@
 """Matrix ingestion: Matrix Market (array/coordinate, real/complex, general)
 and dense JSON ({"n": ..., "entries": [[re, im], ...]} row-major).
 
-Numeric tokens follow Python `float()` syntax and must be finite.  The two
-bulk layouts are converted about `_CHUNK` characters at a time into one
-preallocated float64 array, so no token list or JSON tree of the whole file
-is built: the data lines of a Matrix Market `array` file, cut at line feeds,
-and the entries of a JSON file laid out as {"n": N, "entries": [...]}, cut
-between pairs.  Any other layout, and any file the chunked pass rejects, is
-read token by token or entry by entry (a JSON file parsed whole), which
-names the first offending token or entry.  `coordinate` entries are read
-one at a time.
+Numeric tokens follow Python `float()` syntax and must be finite.  `_fill`
+converts values about `_CHUNK` characters at a time into one preallocated
+float64 array and names the first bad one, so no token list or JSON tree of
+the whole file is built for Matrix Market `array` data (tokenized once, cut
+at line feeds, the size line laid out any way) or for JSON laid out as
+{"n": N, "entries": [...]} (cut between pairs).  `coordinate` entries are
+read one at a time from one token list; JSON of another layout or with a
+fault is parsed whole, which names the first offending entry.
 """
 
 from __future__ import annotations
@@ -26,16 +25,8 @@ from .matrix import as_matrix
 
 _CHUNK = 1 << 16  # characters converted at a time
 
-# a character of a line, and a line end, as str.splitlines() cuts lines
-_IN_LINE = r"[^\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]"
-_LINE_END = r"(?:\r\n|\r(?!\n)|[\n\v\f\x1c\x1d\x1e\x85\u2028\u2029])"
-_FIRST_LINE = re.compile(_IN_LINE + "*")
-# after an array file's header line: blank and comment lines, then the size
-# line alone, in the layout the chunked reader takes
-_ARRAY_SIZE = re.compile(
-    rf"{_LINE_END}(?:[ \t]*(?:%{_IN_LINE}*)?{_LINE_END})*"
-    rf"[ \t]*([0-9]{{1,18}})[ \t]+([0-9]{{1,18}})[ \t]*{_LINE_END}"
-)
+# the header line: up to the first line end, as str.splitlines() cuts lines
+_FIRST_LINE = re.compile(r"[^\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]*")
 _JSON_WS = re.compile(r"[ \t\n\r]*")
 # the documented JSON layout up to the bracket that opens the entries
 _JSON_HEAD = re.compile(
@@ -58,23 +49,38 @@ def _finite(x: float) -> float:
     return x
 
 
-def _fill(chunks, count: int) -> np.ndarray | None:
-    """The `count` values that `chunks` yields as (iterable, length) pairs,
-    in one float64 array and converted as `float()` converts them; None if a
-    chunk is None, the total is not `count`, or a value does not convert or
-    is not finite."""
-    out = np.empty(count)
-    filled = 0
+def _converts(v) -> bool:
+    try:
+        return math.isfinite(float(v))
+    except (ValueError, OverflowError):
+        return False
+
+
+def _fill(chunks, count: int, room: int):
+    """(values, total, fault) of the value lists `chunks` yields: the first
+    `count` values in one float64 array, converted as `float()` converts
+    them; how many values the chunks hold; and the offset of the first that
+    does not convert or is not finite (a None chunk is a fault), else None.
+
+    Each value takes a character and all but the last a separator, so when
+    `count` values cannot fit in `room` characters nothing is allocated,
+    values is None, and the chunks are only counted."""
+    values = np.empty(count) if 2 * count - 1 <= room else None
+    total, fault = 0, None
     for chunk in chunks:
-        if chunk is None or filled + chunk[1] > count:
-            return None
-        values, k = chunk
-        try:
-            out[filled : filled + k] = np.fromiter(values, dtype=float, count=k)
-        except (ValueError, OverflowError):
-            return None
-        filled += k
-    return out if filled == count and np.isfinite(out).all() else None
+        k = 0 if chunk is None else len(chunk)
+        if fault is None and chunk is None:
+            fault = total
+        elif fault is None and values is not None and total + k <= count:
+            try:
+                values[total : total + k] = np.fromiter(chunk, dtype=float, count=k)
+                ok = np.isfinite(values[total : total + k]).all()
+            except (ValueError, OverflowError):
+                ok = False
+            if not ok:  # rescan this chunk alone for the offset
+                fault = total + next(i for i, v in enumerate(chunk) if not _converts(v))
+        total += k
+    return values, total, fault
 
 
 def _tokens(text: str) -> list[str]:
@@ -85,34 +91,29 @@ def _tokens(text: str) -> list[str]:
 
 
 def _mtx_chunks(text: str, pos: int):
-    """The data tokens from `pos`, a line start, on: one list per chunk,
+    """The tokens from `pos`, a line start or end, on: one list per chunk,
     cut after a line feed, which always ends a line and a token."""
     while pos < len(text):
         end = text.find("\n", pos + _CHUNK) + 1 or len(text)
-        tokens = _tokens(text[pos:end])
-        yield tokens, len(tokens)
+        yield _tokens(text[pos:end])
         pos = end
+
+
+def _split(chunks, k: int):
+    """The first `k` tokens of the token lists `chunks` (all, if fewer),
+    and the lists of the tokens after them."""
+    head = []
+    for chunk in chunks:
+        take = k - len(head)
+        head += chunk[:take]
+        if len(head) == k:
+            return head, chain([chunk[take:]], chunks)
+    return head, chunks
 
 
 def _column_major(values: np.ndarray, n: int, width: int) -> np.ndarray:
     data = values.view(complex) if width == 2 else values  # as_matrix converts real data
     return as_matrix(data.reshape(n, n).T)  # array data runs down columns
-
-
-def _chunked_array(text: str, start: int, width: int) -> np.ndarray | None:
-    """The matrix of an array file whose header line ends at `start`,
-    converted chunk by chunk; None when the file is laid out otherwise or
-    holds a fault, which the token path names."""
-    size = _ARRAY_SIZE.match(text, start)
-    if size is None:
-        return None
-    rows, cols = int(size[1]), int(size[2])
-    count = rows * cols * width
-    # each value takes a character and all but the last a separator
-    if rows != cols or rows < 1 or 2 * count - 1 > len(text) - size.end():
-        return None
-    values = _fill(_mtx_chunks(text, size.end()), count)
-    return None if values is None else _column_major(values, rows, width)
 
 
 def parse_mtx(text: str) -> np.ndarray:
@@ -132,12 +133,26 @@ def parse_mtx(text: str) -> np.ndarray:
     if symmetry != "general":
         raise ParseError(f"unsupported symmetry {symmetry!r}")
     width = 2 if field == "complex" else 1
+    chunks = _mtx_chunks(text, len(first))
     if fmt == "array":
-        a = _chunked_array(text, len(first), width)
-        if a is not None:
-            return a
+        size, data = _split(chunks, 2)
+        try:
+            rows, cols = map(int, size)
+        except ValueError as exc:  # also fewer than two tokens
+            raise ParseError("bad size line") from exc
+        if rows < 1 or cols < 1:
+            raise ParseError(f"bad dimensions {rows} x {cols}")
+        count = rows * cols * width
+        values, total, fault = _fill(data, count, len(text) - len(first))
+        if total != count:
+            raise ParseError(f"expected {count} data tokens, got {total}")
+        if rows != cols:
+            raise NonSquare(f"matrix is {rows} x {cols}")
+        if fault is not None:
+            raise ParseError(f"bad numeric token at position {2 + fault}")
+        return _column_major(values, rows, width)
 
-    tokens = _tokens(text[len(first) :])
+    tokens = list(chain.from_iterable(chunks))
 
     def take_int(pos: int) -> int:
         try:
@@ -150,17 +165,6 @@ def parse_mtx(text: str) -> np.ndarray:
             return _finite(float(tokens[pos]))
         except (IndexError, ValueError) as exc:
             raise ParseError(f"bad numeric token at position {pos}") from exc
-
-    if fmt == "array":
-        rows, cols = take_int(0), take_int(1)
-        if rows < 1 or cols < 1:
-            raise ParseError(f"bad dimensions {rows} x {cols}")
-        expected = 2 + rows * cols * width
-        if len(tokens) != expected:
-            raise ParseError(f"expected {expected - 2} data tokens, got {len(tokens) - 2}")
-        if rows != cols:
-            raise NonSquare(f"matrix is {rows} x {cols}")
-        return _column_major(np.array([take_float(pos) for pos in range(2, expected)]), rows, width)
 
     rows, cols, nnz = take_int(0), take_int(1), take_int(2)
     if rows < 1 or cols < 1 or nnz < 0:
@@ -207,7 +211,7 @@ def _json_entry(idx: int, pair) -> complex:
 
 def _json_chunks(text: str, pos: int, end: int):
     """The values of the entries text[pos:end], one chunk at a time, each
-    cut at the first `,` after a `]`: (values, count) for a chunk that
+    cut at the first `,` after a `]`: the list of values of a chunk that
     parses as a nonempty list of [re, im] number pairs, else None."""
     while True:
         cut = text.find("]", pos + _CHUNK, end)
@@ -220,15 +224,10 @@ def _json_chunks(text: str, pos: int, end: int):
         except (ValueError, RecursionError):
             pairs = None
         # json.loads builds exact list/int/float/bool objects, so type sets are exact
-        if (
-            pairs is not None
-            and set(map(type, pairs)) == {list}
-            and set(map(len, pairs)) == {2}
-            and set(map(type, chain.from_iterable(pairs))) <= {int, float}
-        ):
-            yield chain.from_iterable(pairs), 2 * len(pairs)
-        else:
-            yield None
+        values = None
+        if pairs is not None and set(map(type, pairs)) == {list} and set(map(len, pairs)) == {2}:
+            values = list(chain.from_iterable(pairs))
+        yield values if values is not None and set(map(type, values)) <= {int, float} else None
         if cut == end:
             return
         pos = cut + 1
@@ -246,11 +245,10 @@ def _chunked_json(text: str) -> np.ndarray | None:
         return None
     n, start = int(head[1]), head.end()
     end = text.rfind("]", start, close)
-    # each pair takes five characters and all but the last a comma
-    if end < 0 or not _JSON_WS.fullmatch(text, end + 1, close) or 6 * n * n - 1 > end - start:
+    if end < 0 or not _JSON_WS.fullmatch(text, end + 1, close):
         return None
-    values = _fill(_json_chunks(text, start, end), 2 * n * n)
-    return None if values is None else as_matrix(values.view(complex).reshape(n, n))
+    values, total, fault = _fill(_json_chunks(text, start, end), 2 * n * n, end - start)
+    return as_matrix(values.view(complex).reshape(n, n)) if total == 2 * n * n and fault is None else None
 
 
 def parse_json_matrix(text: str) -> np.ndarray:

@@ -561,6 +561,31 @@ class TestParserParity:
         # complex array data; real data is converted and transposed at once
         assert peaks[1] <= (3 if fmt == "mtx" else 2) * 16 * n * n
 
+    @pytest.mark.parametrize("case", ["bad last token", "size on two lines"])
+    def test_array_peak_memory_is_the_same_for_faults_and_other_layouts(self, case):
+        # at n = 120 one chunk's token lists would outweigh the matrix
+        n = 256
+        rng = np.random.default_rng(7)
+        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        text = mtx_text(a)
+        if case == "bad last token":
+            text = text[: text.rstrip().rfind(" ")] + " x\n"
+        else:
+            text = text.replace(f"\n{n} {n}\n", f"\n{n}\n{n}\n", 1)
+        tracemalloc.start()
+        try:
+            if case == "bad last token":
+                with pytest.raises(ParseError, match=rf"^bad numeric token at position {2 * n * n + 1}$"):
+                    parse_mtx(text)
+            else:
+                parsed = parse_mtx(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        if case == "size on two lines":
+            assert same_bits(parsed, a)
+        assert peak <= 3 * 16 * n * n
+
     @pytest.mark.parametrize(
         "text",
         ['{"n": 1, "entries": [[' + "7" * 5000 + ", 0]]}", "[" * 100_000],

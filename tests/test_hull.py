@@ -339,6 +339,27 @@ class TestContainsEllipse:
         assert rep.verdict == CONTAINED
         assert rep.min_margin == pytest.approx(-1.2e-9 / math.sqrt(2), rel=1e-12)
 
+    def test_overflowing_edges_give_finite_margins(self):
+        # each edge spans 2e308 along both axes, which overflows as v1 - v0
+        e = SpectralEllipse(semimajor=1.0, semiminor=0.5, major_dir=1 + 0j, foci=(0j, 0j))
+        triangle = convex_hull([1e308 + 1e308j, -1e308 - 1e308j, 1e308 - 1e308j])
+        segment = convex_hull([1e308 + 1e308j, -1e308 - 1e308j])
+        for h, verdict in ((triangle, VIOLATED), (segment, DEGENERATE)):
+            rep = contains_ellipse(h, e, 1e-8)
+            assert rep.verdict == verdict
+            assert math.isfinite(rep.min_margin) and cmath.isfinite(rep.worst_direction)
+        # the triangle's long edge runs through the ellipse's center
+        rep = contains_ellipse(triangle, e, 1e-8)
+        assert rep.min_margin == pytest.approx(-math.sqrt(0.625), rel=1e-12)
+
+    def test_subnormal_edges_give_unit_directions(self):
+        # half of a 5e-324 step rounds to zero, so the edge itself is used
+        e = SpectralEllipse(semimajor=0.0, semiminor=0.0, major_dir=1 + 0j, foci=(0j, 0j))
+        for pts in ([5e-324j, 0j], [0j, 5e-324 + 0j, 5e-324j]):
+            rep = contains_ellipse(convex_hull(pts), e, 0.0)
+            assert abs(rep.worst_direction) == 1.0
+            assert math.isfinite(rep.min_margin)
+
     def test_polygon_too_small_is_violated(self):
         h = convex_hull((0.01, 0.01j, -0.01, -0.01j))
         e = inscribed_ellipse((1, 1j, -1, -1j), 4)
