@@ -4,6 +4,11 @@
 Writes <out>/<ensemble>_n<dim>.svg and a matching .json report for each kind,
 plus a one-line summary per figure.  Handy for eyeballing how the inscribed
 ellipse sits inside the spectral hull across very different spectra.
+
+A kind whose analysis fails (MomentMismatch, NonConvergence or NonFinite)
+gets one line naming the kind and the error instead of a figure, and the
+gallery goes on to the next kind.  Exits 0 when every figure was written,
+else 1.
 """
 
 import argparse
@@ -14,7 +19,9 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), ".."
 
 from spectral_ellipse.cli import analysis_report, analyze
 from spectral_ellipse.ensembles import KINDS, EnsembleSpec, generate
+from spectral_ellipse.numerics import NonConvergence, NonFinite
 from spectral_ellipse.report import canonical_json
+from spectral_ellipse.spectrum import MomentMismatch
 from spectral_ellipse.svgplot import render_svg
 
 
@@ -28,9 +35,15 @@ def main() -> int:
         parser.error(f"-n must be >= 2 (an ellipse needs two eigenvalues), got {args.dimension}")
 
     os.makedirs(args.out, exist_ok=True)
+    skipped = 0
     for kind in KINDS:
         a = generate(EnsembleSpec(kind=kind, n=args.dimension, seed=args.seed))
-        an = analyze(a)
+        try:
+            an = analyze(a)
+        except (MomentMismatch, NonConvergence, NonFinite) as exc:
+            print(f"{kind:>20}: skipped, {type(exc).__name__}: {exc}")
+            skipped += 1
+            continue
         stem = os.path.join(args.out, f"{kind.lower()}_n{args.dimension}")
         with open(stem + ".svg", "w", encoding="utf-8") as fh:
             fh.write(render_svg(an))
@@ -40,7 +53,7 @@ def main() -> int:
         c, e = report["containment"], report["ellipse"]
         print(f"{kind:>20}: verdict {c['verdict']:>9}, a = {e['semimajor']:.4f}, "
               f"b = {e['semiminor']:.4f}, margin = {c['min_margin']:.3e} -> {stem}.svg")
-    return 0
+    return 1 if skipped else 0
 
 
 if __name__ == "__main__":

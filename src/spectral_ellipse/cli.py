@@ -14,8 +14,6 @@ import math
 import sys
 from dataclasses import astuple, dataclass
 
-import numpy as np
-
 from . import ellipse as el
 from . import hull as hl
 from . import matrix as mx
@@ -368,10 +366,7 @@ def main(argv=None) -> int:
         "bound": _cmd_bound,
     }
     try:
-        # overflow surfaces as NonFinite below, not as numpy warnings
-        # ahead of the one-line message
-        with np.errstate(over="ignore", invalid="ignore"):
-            return handlers[args.command](args)
+        return handlers[args.command](args)
     except ParseError as exc:
         sys.stderr.write(f"parse error: {exc}\n")
         return EXIT_PARSE

@@ -130,16 +130,6 @@ def ellipse_from_normalized(ns: NormalizedSpectrum, n: int) -> SpectralEllipse:
     )
 
 
-def inscribed_ellipse(lambdas, n: int) -> SpectralEllipse:
-    """Guaranteed-inscribed ellipse for a traceless multiset: center 0,
-    semiaxes R/(sqrt(2)(n-1)) and I/(sqrt(2)(n-1)), foci
-    +-sqrt(q0)/(sqrt(2)(n-1))."""
-    lam = tuple(complex(v) for v in lambdas)
-    if len(lam) != n:
-        raise ValueError(f"expected {n} eigenvalues, got {len(lam)}")
-    return ellipse_from_normalized(normalize_mu(lam), n)
-
-
 def shifted_ellipse(d: Decomposition, spec: Spectrum) -> SpectralEllipse:
     """Ellipse of A centered at 0 (add d.gamma to place it), from the spectrum of d.traceless_part."""
     return ellipse_from_normalized(normalize_mu(spec.values), d.n)

@@ -15,7 +15,9 @@ the matrices must not depend on the numpy build.
 
 Draw order per kind is fixed: spectrum-defining draws first (so
 `reference_spectrum` can replay them), then the scrambling transform's
-entries, row-major, real part before imaginary part.
+entries, row-major, real part before imaginary part.  One table maps each
+scrambled kind to its spectrum function, which `generate` scrambles and
+`reference_spectrum` replays, and one check refuses the same specs in both.
 """
 
 from __future__ import annotations
@@ -139,13 +141,6 @@ def _sample_transform(rng: CounterRng, n: int) -> np.ndarray:
     )
 
 
-def _scramble(diag_values, rng: CounterRng) -> np.ndarray:
-    n = len(diag_values)
-    d = np.diag(np.asarray(diag_values, dtype=complex))
-    t = _sample_transform(rng, n)
-    return matrix.similarity(d, t)
-
-
 def _prescribed_values(rng: CounterRng, n: int) -> tuple[complex, ...]:
     return tuple(rng.uniforms(2 * n, -1.0, 1.0).view(complex).tolist())
 
@@ -163,39 +158,44 @@ def _qzero_values(rng: CounterRng, n: int) -> tuple[complex, ...]:
     return tuple(values)
 
 
-def _remark_values(n: int) -> tuple[complex, ...]:
+def _remark_values(rng: CounterRng, n: int) -> tuple[complex, ...]:
     return tuple([-1.0 + 0.0j] * (n - 1) + [complex(n - 1)])
+
+
+# the scrambled kinds: each spectrum is drawn (if at all) before the transform
+_SPECTRA = {"PrescribedSpectrum": _prescribed_values, "RemarkExtremal": _remark_values, "QZero": _qzero_values}
+
+
+def _check(spec: EnsembleSpec) -> None:
+    if spec.kind not in KINDS:
+        raise ValueError(f"unknown ensemble kind {spec.kind!r}")
+    if spec.n < 1:
+        raise UnsupportedDimension(f"dimension must be >= 1, got {spec.n}")
+    if spec.kind in ("RemarkExtremal", "QZero") and spec.n < 2:
+        raise UnsupportedDimension(f"{spec.kind} needs n >= 2, got {spec.n}")
 
 
 def generate(spec: EnsembleSpec) -> np.ndarray:
     """Build the matrix for spec; identical spec gives a bit-identical matrix."""
-    if spec.kind not in KINDS:
-        raise ValueError(f"unknown ensemble kind {spec.kind!r}")
+    _check(spec)
     n = spec.n
-    if n < 1:
-        raise UnsupportedDimension(f"dimension must be >= 1, got {n}")
-    if spec.kind in ("RemarkExtremal", "QZero") and n < 2:
-        raise UnsupportedDimension(f"{spec.kind} needs n >= 2, got {n}")
     rng = CounterRng(spec.seed)
 
-    if spec.kind == "Ginibre":
+    if spec.kind in _SPECTRA:
+        d = np.diag(np.asarray(_SPECTRA[spec.kind](rng, n), dtype=complex))
+        a = matrix.similarity(d, _sample_transform(rng, n))
+    elif spec.kind == "Ginibre":
         scale = 1.0 / math.sqrt(2.0 * n)
         a = _complex_normals(rng, n * n, scale).reshape(n, n)
     elif spec.kind == "RealGaussian":
         scale = 1.0 / math.sqrt(n)
         a = (scale * rng.normals(n * n)).reshape(n, n).astype(complex)
-    elif spec.kind == "Nilpotent":
+    else:  # Nilpotent
         scale = 1.0 / math.sqrt(2.0 * n)
         a = np.zeros((n, n), dtype=complex)
         a[np.triu_indices(n, 1)] = _complex_normals(rng, n * (n - 1) // 2, scale)
         if n > 1:
             a = np.asarray(matrix.similarity(a, _sample_transform(rng, n)))
-    elif spec.kind == "PrescribedSpectrum":
-        a = _scramble(_prescribed_values(rng, n), rng)
-    elif spec.kind == "RemarkExtremal":
-        a = _scramble(_remark_values(n), rng)
-    else:  # QZero
-        a = _scramble(_qzero_values(rng, n), rng)
 
     a.flags.writeable = False
     return a
@@ -205,17 +205,10 @@ def reference_spectrum(spec: EnsembleSpec) -> tuple[complex, ...] | None:
     """The exact intended spectrum, or None when it is unknown (Gaussian kinds).
 
     Replays the spectrum-defining prefix of the draw stream, so it never
-    needs the generated matrix.
+    needs the generated matrix.  Refuses what `generate` refuses, with the
+    same error.
     """
-    if spec.kind not in KINDS:
-        raise ValueError(f"unknown ensemble kind {spec.kind!r}")
-    if spec.kind in ("Ginibre", "RealGaussian"):
-        return None
-    if spec.kind == "Nilpotent":
-        return tuple([0.0 + 0.0j] * spec.n)
-    if spec.kind == "RemarkExtremal":
-        return _remark_values(spec.n)
-    rng = CounterRng(spec.seed)
-    if spec.kind == "PrescribedSpectrum":
-        return _prescribed_values(rng, spec.n)
-    return _qzero_values(rng, spec.n)
+    _check(spec)
+    if spec.kind in _SPECTRA:
+        return _SPECTRA[spec.kind](CounterRng(spec.seed), spec.n)
+    return (0j,) * spec.n if spec.kind == "Nilpotent" else None

@@ -1,6 +1,12 @@
 """Matrix ingestion: Matrix Market (array/coordinate, real/complex, general)
 and dense JSON ({"n": ..., "entries": [[re, im], ...]} row-major).
 
+Matrix Market text after the header, less its `%` comment lines, is one
+whitespace token stream for both layouts: the size line is its first two
+(`array`) or three (`coordinate`) tokens, read by `int()`, and a later
+token that does not convert is named by its position in the stream,
+counted from the size line's first token.
+
 Numeric tokens follow Python `float()` syntax and must be finite.  `_fill`
 converts values about `_CHUNK` characters at a time into one preallocated
 float64 array and names the first bad one, so no token list or JSON tree of
@@ -43,7 +49,8 @@ class NonSquare(ValueError):
     """Input parsed cleanly but does not describe a square matrix."""
 
 
-def _finite(x: float) -> float:
+def _real(v) -> float:
+    x = float(v)
     if not math.isfinite(x):
         raise ParseError(f"non-finite value {x!r} in matrix data")
     return x
@@ -133,13 +140,12 @@ def parse_mtx(text: str) -> np.ndarray:
     if symmetry != "general":
         raise ParseError(f"unsupported symmetry {symmetry!r}")
     width = 2 if field == "complex" else 1
-    chunks = _mtx_chunks(text, len(first))
+    size, data = _split(_mtx_chunks(text, len(first)), 2 if fmt == "array" else 3)
+    try:  # an array size line has no entry count
+        rows, cols, nnz = map(int, size + ["0"] if fmt == "array" else size)
+    except ValueError as exc:  # also fewer size tokens than the layout has
+        raise ParseError("bad size line") from exc
     if fmt == "array":
-        size, data = _split(chunks, 2)
-        try:
-            rows, cols = map(int, size)
-        except ValueError as exc:  # also fewer than two tokens
-            raise ParseError("bad size line") from exc
         if rows < 1 or cols < 1:
             raise ParseError(f"bad dimensions {rows} x {cols}")
         count = rows * cols * width
@@ -152,27 +158,20 @@ def parse_mtx(text: str) -> np.ndarray:
             raise ParseError(f"bad numeric token at position {2 + fault}")
         return _column_major(values, rows, width)
 
-    tokens = list(chain.from_iterable(chunks))
-
-    def take_int(pos: int) -> int:
-        try:
-            return int(tokens[pos])
-        except (IndexError, ValueError) as exc:
-            raise ParseError("bad size line") from exc
-
-    def take_float(pos: int) -> float:
-        try:
-            return _finite(float(tokens[pos]))
-        except (IndexError, ValueError) as exc:
-            raise ParseError(f"bad numeric token at position {pos}") from exc
-
-    rows, cols, nnz = take_int(0), take_int(1), take_int(2)
     if rows < 1 or cols < 1 or nnz < 0:
         raise ParseError(f"bad size line {rows} {cols} {nnz}")
+    tokens = list(chain.from_iterable(data))
+
+    def take(pos: int, convert):
+        try:
+            return convert(tokens[pos])
+        except ValueError as exc:  # a non-finite value is a ParseError, also a ValueError
+            raise ParseError(f"bad numeric token at position {3 + pos}") from exc
+
     stride = 2 + width
-    expected = 3 + nnz * stride
+    expected = nnz * stride
     if len(tokens) != expected:
-        raise ParseError(f"expected {expected - 3} entry tokens, got {len(tokens) - 3}")
+        raise ParseError(f"expected {expected} entry tokens, got {len(tokens)}")
     if rows != cols:
         raise NonSquare(f"matrix is {rows} x {cols}")
     try:
@@ -180,12 +179,12 @@ def parse_mtx(text: str) -> np.ndarray:
     except (ValueError, MemoryError) as exc:  # declared size beyond what fits
         raise ParseError(f"cannot allocate a {rows} x {cols} matrix") from exc
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        for pos in range(3, expected, stride):
-            i, j = take_int(pos), take_int(pos + 1)
+        for pos in range(0, expected, stride):
+            i, j = take(pos, int), take(pos + 1, int)
             if not (1 <= i <= rows and 1 <= j <= cols):
                 raise ParseError(f"coordinate ({i}, {j}) out of range")
-            real = take_float(pos + 2)
-            imag = take_float(pos + 3) if width == 2 else 0.0
+            real = take(pos + 2, _real)
+            imag = take(pos + 3, _real) if width == 2 else 0.0
             a[i - 1, j - 1] += complex(real, imag)  # duplicates accumulate
     if not np.isfinite(a).all():
         raise ParseError("duplicate coordinate entries sum to a non-finite value")
@@ -194,7 +193,7 @@ def parse_mtx(text: str) -> np.ndarray:
 
 def _json_value(idx: int, v) -> float:
     try:
-        return _finite(float(v))
+        return _real(v)
     except OverflowError as exc:  # an int beyond the float range
         raise ParseError(f"entry {idx} is out of float range") from exc
 

@@ -84,9 +84,9 @@ def eigenvalues(a: np.ndarray, tol: float = DEFAULT_MOMENT_TOL) -> Spectrum:
     if not a.any():
         return Spectrum(values=(0j,) * n, sum_residual=0.0, q_residual=0.0)
 
-    with np.errstate(over="ignore"):  # an infinite scale ends in NonFinite below
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow ends in NonFinite or NonConvergence
         scale = float(np.linalg.norm(a)) / math.sqrt(n)
-    roots = find_roots(matrix.char_poly(a / scale))
+        roots = find_roots(matrix.char_poly(a / scale))
     lams = tuple(sorted((scale * r for r in roots), key=lambda z: (z.real, z.imag)))
 
     limit = moment_tol(a, tol)

@@ -4,7 +4,7 @@ import signal
 import numpy as np
 import pytest
 
-from spectral_ellipse.ellipse import inscribed_ellipse
+from spectral_ellipse.ellipse import ellipse_from_normalized, normalize_mu
 from spectral_ellipse import ensembles, matrix
 from spectral_ellipse.ensembles import (
     KINDS,
@@ -240,6 +240,13 @@ class TestReferenceSpectrum:
                     expected = scalar_spectrum(kind, n, ScalarRng(seed))
                     assert reference_spectrum(EnsembleSpec(kind, n, seed)) == tuple(expected)
 
+    @pytest.mark.parametrize("kind, n", [("RemarkExtremal", 1), ("QZero", 1), ("Nilpotent", 0)])
+    def test_refuses_what_generate_refuses(self, kind, n):
+        spec = EnsembleSpec(kind, n, 0)
+        for build in (generate, reference_spectrum):
+            with pytest.raises(UnsupportedDimension):
+                build(spec)
+
     def test_unknown_for_gaussian_kinds(self):
         assert reference_spectrum(EnsembleSpec("Ginibre", 8, 0)) is None
         assert reference_spectrum(EnsembleSpec("RealGaussian", 8, 0)) is None
@@ -287,7 +294,7 @@ class TestReferenceSpectrum:
         previous = None
         for n in range(2, 33):
             ref = reference_spectrum(EnsembleSpec("RemarkExtremal", n, 0))
-            e = inscribed_ellipse(ref, n)
+            e = ellipse_from_normalized(normalize_mu(ref), n)
             want = math.sqrt(n / (2.0 * (n - 1)))
             assert e.semiminor <= 1e-9
             assert abs(e.semimajor - want) <= 1e-9

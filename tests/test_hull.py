@@ -13,7 +13,6 @@ from spectral_ellipse.ellipse import (
     ZeroDirection,
     axis_sums,
     ellipse_from_normalized,
-    inscribed_ellipse,
     normalize_mu,
 )
 from spectral_ellipse.hull import (
@@ -274,7 +273,7 @@ class TestCross:
 class TestContainsEllipse:
     def test_extremal_family_segment(self):
         h = convex_hull((-1, -1, 2))
-        e = inscribed_ellipse((-1, -1, 2), 3)
+        e = ellipse_from_normalized(normalize_mu((-1, -1, 2)), 3)
         rep = contains_ellipse(h, e, 1e-11)
         assert rep.verdict == CONTAINED
         # worst margin 1 - sqrt(3)/2 at the left end, pointing down the axis
@@ -283,7 +282,7 @@ class TestContainsEllipse:
 
     def test_square_hull_circle(self):
         h = convex_hull((1, 1j, -1, -1j))
-        e = inscribed_ellipse((1, 1j, -1, -1j), 4)
+        e = ellipse_from_normalized(normalize_mu((1, 1j, -1, -1j)), 4)
         rep = contains_ellipse(h, e, 1e-11)
         assert rep.verdict == CONTAINED
         assert abs(rep.min_margin - (1 / math.sqrt(2) - 1 / 3)) < 1e-12
@@ -292,7 +291,7 @@ class TestContainsEllipse:
 
     def test_tight_two_point_case(self):
         h = convex_hull((1, -1))
-        e = inscribed_ellipse((1, -1), 2)
+        e = ellipse_from_normalized(normalize_mu((1, -1)), 2)
         rep = contains_ellipse(h, e, 1e-11)
         assert rep.verdict == CONTAINED
         assert abs(rep.min_margin) < 1e-13
@@ -314,19 +313,19 @@ class TestContainsEllipse:
 
     def test_point_hull_fat_ellipse_is_degenerate(self):
         h = convex_hull((0,))
-        e = inscribed_ellipse((1, -1), 2)
+        e = ellipse_from_normalized(normalize_mu((1, -1)), 2)
         rep = contains_ellipse(h, e, 1e-9)
         assert rep.verdict == DEGENERATE
 
     def test_segment_hull_fat_ellipse_is_degenerate(self):
         h = convex_hull((1, -1))
-        e = inscribed_ellipse((1, 1j, -1, -1j), 4)  # circle radius 1/3
+        e = ellipse_from_normalized(normalize_mu((1, 1j, -1, -1j)), 4)  # circle radius 1/3
         rep = contains_ellipse(h, e, 1e-9)
         assert rep.verdict == DEGENERATE
 
     def test_segment_hull_long_ellipse_is_violated(self):
         h = convex_hull((0.5, -0.5))
-        e = inscribed_ellipse((1, -1), 2)  # segment [-1, 1]
+        e = ellipse_from_normalized(normalize_mu((1, -1)), 2)  # segment [-1, 1]
         rep = contains_ellipse(h, e, 1e-9)
         assert rep.verdict == VIOLATED
 
@@ -362,7 +361,7 @@ class TestContainsEllipse:
 
     def test_polygon_too_small_is_violated(self):
         h = convex_hull((0.01, 0.01j, -0.01, -0.01j))
-        e = inscribed_ellipse((1, 1j, -1, -1j), 4)
+        e = ellipse_from_normalized(normalize_mu((1, 1j, -1, -1j)), 4)
         rep = contains_ellipse(h, e, 1e-9)
         assert rep.verdict == VIOLATED
         assert rep.min_margin < -0.3

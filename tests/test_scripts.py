@@ -10,9 +10,9 @@ import pytest
 SCRIPTS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scripts")
 
 
-def run_script(name, *args, cwd=None):
+def run_script(name, *args, cwd=None, flags=()):
     return subprocess.run(
-        [sys.executable, os.path.join(SCRIPTS, name), *args],
+        [sys.executable, *flags, os.path.join(SCRIPTS, name), *args],
         capture_output=True,
         text=True,
         cwd=cwd,
@@ -36,6 +36,19 @@ def test_render_gallery_writes_one_figure_per_ensemble(tmp_path):
     assert len([f for f in names if f.endswith("_n3.svg")]) == 6
     assert len([f for f in names if f.endswith("_n3.json")]) == 6
     assert len(names) == 12
+
+
+def test_render_gallery_skips_a_failed_figure_without_warnings(tmp_path):
+    # RemarkExtremal's 63-fold eigenvalue does not converge at n = 64; the
+    # other kinds are drawn, and numpy's overflow in that solve stays silent
+    proc = run_script("render_gallery.py", "-n", "64", "--out", "tmp", cwd=tmp_path, flags=("-W", "error::RuntimeWarning"))
+    assert proc.returncode == 1
+    assert proc.stderr == ""
+    skips = [line.split() for line in proc.stdout.splitlines() if "skipped" in line]
+    assert len(skips) == 1 and skips[0][:3] == ["RemarkExtremal:", "skipped,", "NonConvergence:"]
+    names = sorted(os.listdir(tmp_path / "tmp"))
+    assert len([f for f in names if f.endswith("_n64.svg")]) == 5
+    assert "remarkextremal_n64.svg" not in names
 
 
 def test_render_gallery_rejects_dimension_below_two(tmp_path):
