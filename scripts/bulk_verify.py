@@ -24,17 +24,15 @@ def main() -> int:
     parser.add_argument("--trials", type=_at_least(1), default=100)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--sizes", type=_at_least(2), nargs="+", default=[2, 3, 4, 8, 16])
-    parser.add_argument("--sweep-k", type=_at_least(4), default=PipelineSettings().sweep_k)
     args = parser.parse_args()
 
-    settings = PipelineSettings(sweep_k=args.sweep_k)
     print(f"{'ensemble':>20} {'n':>3} {'contained':>10} {'mismatch':>9} {'nonconv':>8} "
           f"{'worst_margin':>13} {'worst_sweep':>12}")
     t0 = time.time()
     clean = True
     for kind in KINDS:
         for n in args.sizes:
-            records = run_verify(kind, n, args.trials, args.seed, settings)
+            records = run_verify(kind, n, args.trials, args.seed, PipelineSettings())
             contained = sum(1 for r in records if r.verdict == hl.CONTAINED)
             mismatch = sum(1 for r in records if r.verdict == "MomentMismatch")
             nonconv = sum(1 for r in records if r.verdict == "NonConvergence")

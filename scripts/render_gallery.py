@@ -4,6 +4,8 @@
 Writes <out>/<ensemble>_n<dim>.svg and a matching .json report for each kind,
 plus a one-line summary per figure.  Handy for eyeballing how the inscribed
 ellipse sits inside the spectral hull across very different spectra.
+The dimension -n must be at least 2, since an ellipse needs two
+eigenvalues; a smaller one is a usage error (exit 2).
 
 A kind whose analysis fails (MomentMismatch, NonConvergence or NonFinite)
 gets one line naming the kind and the error instead of a figure, and the
@@ -17,7 +19,7 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
 
-from spectral_ellipse.cli import analysis_report, analyze
+from spectral_ellipse.cli import _at_least, analysis_report, analyze
 from spectral_ellipse.ensembles import KINDS, EnsembleSpec, generate
 from spectral_ellipse.numerics import NonConvergence, NonFinite
 from spectral_ellipse.report import canonical_json
@@ -28,11 +30,9 @@ from spectral_ellipse.svgplot import render_svg
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="gallery")
-    parser.add_argument("-n", "--dimension", type=int, default=8)
+    parser.add_argument("-n", "--dimension", type=_at_least(2), default=8)
     parser.add_argument("--seed", type=int, default=2024)
     args = parser.parse_args()
-    if args.dimension < 2:
-        parser.error(f"-n must be >= 2 (an ellipse needs two eigenvalues), got {args.dimension}")
 
     os.makedirs(args.out, exist_ok=True)
     skipped = 0

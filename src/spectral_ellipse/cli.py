@@ -1,10 +1,10 @@
 """Command line surface: analyze a matrix file, run seeded verification
 campaigns, print the tightness table, and compute eigensolver-free bounds.
 
-Exit codes: 0 success, 1 ParseError, 2 NonSquare, 3 NonConvergence,
-4 MomentMismatch, 5 NonFinite (numeric overflow: a quantity derived from
-the input left the float range), each on exactly one stderr line.  `verify`
-exits 0 iff its CSV contains no Violated row.
+Exit codes, from FAILURES: 0 success, 1 ParseError, 2 NonSquare,
+3 NonConvergence, 4 MomentMismatch, 5 NonFinite (numeric overflow: a
+quantity derived from the input left the float range), each on exactly one
+stderr line.  `verify` exits 0 iff its CSV contains no Violated row.
 """
 
 from __future__ import annotations
@@ -32,12 +32,22 @@ EXIT_NONCONVERGENCE = 3
 EXIT_MOMENT = 4
 EXIT_OVERFLOW = 5
 
+FAILURES = {
+    ParseError: (EXIT_PARSE, "parse error"),
+    NonSquare: (EXIT_NONSQUARE, "not square"),
+    NonConvergence: (EXIT_NONCONVERGENCE, "eigensolver did not converge"),
+    MomentMismatch: (EXIT_MOMENT, "moment validation failed"),
+    NonFinite: (EXIT_OVERFLOW, "numeric overflow"),
+}
+
 CSV_HEADER = "seed,n,q_abs,a,b,min_margin,sweep_min,verdict"
 
 
 @dataclass(frozen=True)
 class PipelineSettings:
-    """Knobs shared by the analysis pipeline and verification campaigns."""
+    """The pipeline's three settings, one value each and no command-line option
+    (a looser tolerance passes junk spectra, a larger slack certifies ellipses
+    that leave the hull); a class so that callers pass them as one argument."""
 
     moment_tol: float = sp.DEFAULT_MOMENT_TOL
     slack_scale: float = 1e-8
@@ -166,7 +176,9 @@ class TrialRecord:
 def run_trial(kind: str, n: int, trial_seed: int, settings: PipelineSettings) -> TrialRecord:
     """One verification trial: generate, analyze, and sweep the directional
     oracle over the normalized spectrum.  MomentMismatch and NonConvergence
-    are recorded, not raised."""
+    are recorded, not raised; n < 2 raises DimensionTooSmall before generate."""
+    if n < 2:
+        raise el.DimensionTooSmall(f"a trial needs n >= 2, got {n}")
     a = generate(EnsembleSpec(kind=kind, n=n, seed=trial_seed))
     try:
         an = analyze(a, settings)
@@ -253,17 +265,16 @@ def bound_report(a) -> dict:
     return report
 
 
-def _at_least(minimum, convert=int):
-    """argparse type: a finite value >= minimum, else a usage error (a NaN
-    --tol would pass every moment check, an inf --slack certify anything)."""
+def _at_least(minimum: int):
+    """argparse type: an int >= minimum, else a usage error."""
 
-    def parse(text: str):
-        value = convert(text)
-        if not minimum <= value < math.inf:
-            raise argparse.ArgumentTypeError(f"must be >= {minimum} and finite, got {text}")
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {text}")
         return value
 
-    parse.__name__ = convert.__name__  # argparse names the type in "invalid int value"
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
     return parse
 
 
@@ -276,30 +287,28 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    defaults = PipelineSettings()
 
     pa = sub.add_parser("analyze", help="full pipeline report for one matrix file")
+    pa.set_defaults(run=_cmd_analyze)
     pa.add_argument("path")
     pa.add_argument("--format", choices=("mtx", "json"), default=None)
-    pa.add_argument("--tol", type=_at_least(0.0, float), default=defaults.moment_tol, help="moment tolerance scale")
-    pa.add_argument("--slack", type=_at_least(0.0, float), default=defaults.slack_scale, help="containment slack scale")
     pa.add_argument("--json", dest="json_path", default=None, help="also write the report here")
     pa.add_argument("--svg", dest="svg_path", default=None, help="write an SVG plot here")
 
     pv = sub.add_parser("verify", help="seeded ensemble verification campaign")
+    pv.set_defaults(run=_cmd_verify)
     pv.add_argument("--ensemble", choices=KINDS, required=True)
     pv.add_argument("-n", "--dimension", dest="n", type=_at_least(2), required=True)
     pv.add_argument("--trials", type=_at_least(1), default=100)
     pv.add_argument("--seed", type=int, default=0)
-    pv.add_argument("--tol", type=_at_least(0.0, float), default=defaults.moment_tol)
-    pv.add_argument("--slack", type=_at_least(0.0, float), default=defaults.slack_scale)
-    pv.add_argument("--sweep-k", type=_at_least(4), default=defaults.sweep_k)
     pv.add_argument("--csv", dest="csv_path", default=None, help="write the trial CSV here")
 
     pt = sub.add_parser("tightness", help="extremal family table for n = 2..n_max")
+    pt.set_defaults(run=_cmd_tightness)
     pt.add_argument("n_max", type=_at_least(2))
 
     pb = sub.add_parser("bound", help="trace-only spectral radius lower bound")
+    pb.set_defaults(run=_cmd_bound)
     pb.add_argument("path")
     pb.add_argument("--format", choices=("mtx", "json"), default=None)
     pb.add_argument("--json", dest="json_path", default=None)
@@ -307,31 +316,27 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _save(path: str, text: str) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+
+
 def _cmd_analyze(args) -> int:
-    a = load_matrix(args.path, args.format)
-    settings = PipelineSettings(moment_tol=args.tol, slack_scale=args.slack)
-    an = analyze(a, settings)
+    an = analyze(load_matrix(args.path, args.format), PipelineSettings())
     text = canonical_json(analysis_report(an))
     sys.stdout.write(text)
     if args.json_path:
-        with open(args.json_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _save(args.json_path, text)
     if args.svg_path:
-        svg = render_svg(an)
-        with open(args.svg_path, "w", encoding="utf-8") as fh:
-            fh.write(svg)
+        _save(args.svg_path, render_svg(an))
     return EXIT_OK
 
 
 def _cmd_verify(args) -> int:
-    settings = PipelineSettings(
-        moment_tol=args.tol, slack_scale=args.slack, sweep_k=args.sweep_k
-    )
-    records = run_verify(args.ensemble, args.n, args.trials, args.seed, settings)
+    records = run_verify(args.ensemble, args.n, args.trials, args.seed, PipelineSettings())
     csv_text = CSV_HEADER + "\n" + "".join(r.csv() + "\n" for r in records)
     if args.csv_path:
-        with open(args.csv_path, "w", encoding="utf-8") as fh:
-            fh.write(csv_text)
+        _save(args.csv_path, csv_text)
         sys.stdout.write(_summarize(records) + "\n")
     else:
         sys.stdout.write(csv_text)
@@ -347,41 +352,21 @@ def _cmd_tightness(args) -> int:
 
 
 def _cmd_bound(args) -> int:
-    a = load_matrix(args.path, args.format)
-    text = canonical_json(bound_report(a))
+    text = canonical_json(bound_report(load_matrix(args.path, args.format)))
     sys.stdout.write(text)
     if args.json_path:
-        with open(args.json_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _save(args.json_path, text)
     return EXIT_OK
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    handlers = {
-        "analyze": _cmd_analyze,
-        "verify": _cmd_verify,
-        "tightness": _cmd_tightness,
-        "bound": _cmd_bound,
-    }
+    args = _build_parser().parse_args(argv)
     try:
-        return handlers[args.command](args)
-    except ParseError as exc:
-        sys.stderr.write(f"parse error: {exc}\n")
-        return EXIT_PARSE
-    except NonSquare as exc:
-        sys.stderr.write(f"not square: {exc}\n")
-        return EXIT_NONSQUARE
-    except NonConvergence as exc:
-        sys.stderr.write(f"eigensolver did not converge: {exc}\n")
-        return EXIT_NONCONVERGENCE
-    except MomentMismatch as exc:
-        sys.stderr.write(f"moment validation failed: {exc}\n")
-        return EXIT_MOMENT
-    except NonFinite as exc:
-        sys.stderr.write(f"numeric overflow: {exc}\n")
-        return EXIT_OVERFLOW
+        return args.run(args)
+    except tuple(FAILURES) as exc:
+        code, prefix = next(entry for cls, entry in FAILURES.items() if isinstance(exc, cls))
+        sys.stderr.write(f"{prefix}: {exc}\n")
+        return code
 
 
 if __name__ == "__main__":

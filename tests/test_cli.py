@@ -1,8 +1,10 @@
+import argparse
 import contextlib
 import io
 import json
 import math
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -16,13 +18,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spectral_ellipse import cli, matrixio
-from spectral_ellipse.ensembles import EnsembleSpec, generate
+from spectral_ellipse.ellipse import DimensionTooSmall
+from spectral_ellipse.ensembles import KINDS, EnsembleSpec, generate
 from spectral_ellipse.matrixio import NonSquare, ParseError, load_matrix, parse_json_matrix, parse_mtx
 from spectral_ellipse.numerics import NonConvergence
 from spectral_ellipse.report import canonical_json, fmt_float
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 GOLDEN_INPUTS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "inputs")
+README = os.path.join(os.path.dirname(SRC), "README.md")
 
 
 def write_json_matrix(path, entries, n):
@@ -717,6 +721,12 @@ class TestAnalyze:
         assert svg1.read_text() == svg2.read_text()
         assert "<polygon" in svg1.read_text()
 
+    def test_zero_scale_setting_is_accepted(self):
+        # with no moment tolerance and no slack the exact identity still
+        # passes validation and is contained
+        an = cli.analyze(np.eye(2, dtype=complex), cli.PipelineSettings(moment_tol=0.0, slack_scale=0.0))
+        assert an.containment.verdict == "Contained"
+
 
 class TestExitCodes:
     def test_parse_error_is_1(self, tmp_path):
@@ -761,10 +771,27 @@ class TestExitCodes:
         with pytest.raises(OverflowError):
             cli.main(["analyze", path])
 
-    def test_moment_mismatch_is_4(self, tmp_path):
+    def test_moment_mismatch_is_4(self, tmp_path, monkeypatch):
         # golden-ratio matrix has tiny but nonzero residuals; tol 0 rejects
         path = write_json_matrix(tmp_path / "g.json", [[0, 0], [1, 0], [1, 0], [1, 0]], 2)
-        assert cli.main(["analyze", path, "--tol", "0"]) == 4
+        strict = cli.PipelineSettings(moment_tol=0.0)
+        monkeypatch.setattr(cli, "PipelineSettings", lambda: strict)
+        assert cli.main(["analyze", path]) == 4
+
+    @pytest.mark.parametrize("cls", list(cli.FAILURES), ids=lambda cls: cls.__name__)
+    def test_failure_table(self, tmp_path, monkeypatch, capsys, cls):
+        code, prefix = cli.FAILURES[cls]
+        extra = {NonConvergence: ((1.0,),), cli.MomentMismatch: (1.0, 1.0, 0.0)}
+        exc = cls("injected fault", *extra.get(cls, ()))
+
+        def fail(path, fmt):
+            raise exc
+
+        monkeypatch.setattr(cli, "load_matrix", fail)
+        assert cli.main(["bound", diag13_file(tmp_path)]) == code
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"{prefix}: {exc}\n"
+        assert f"{code} {cls.__name__}" in " ".join(cli.__doc__.split())
 
     @pytest.mark.parametrize("command", ["analyze", "bound"])
     def test_overflow_is_5(self, tmp_path, capsys, command):
@@ -840,11 +867,13 @@ class TestVerify:
         assert r1.returncode == 0 and r2.returncode == 0
         assert p1.read_text() == p2.read_text()
 
-    def test_moment_mismatch_rows_recorded_and_skipped(self, tmp_path, capsys):
+    def test_moment_mismatch_rows_recorded_and_skipped(self, tmp_path, capsys, monkeypatch):
         csv_path = tmp_path / "mm.csv"
+        strict = cli.PipelineSettings(moment_tol=0.0)
+        monkeypatch.setattr(cli, "PipelineSettings", lambda: strict)
         rc = cli.main(
             ["verify", "--ensemble", "Ginibre", "-n", "4", "--trials", "3",
-             "--seed", "1", "--tol", "0", "--csv", str(csv_path)]
+             "--seed", "1", "--csv", str(csv_path)]
         )
         # no Violated rows, so still exit 0
         assert rc == 0
@@ -910,6 +939,14 @@ class TestVerify:
         assert all(r.verdict == "Contained" for r in records)
         assert all(r.semimajor <= 1e-2 for r in records)
 
+    @pytest.mark.parametrize("n", [0, 1])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_trial_below_dimension_two_is_refused(self, kind, n):
+        with pytest.raises(DimensionTooSmall, match=f"^a trial needs n >= 2, got {n}$"):
+            cli.run_trial(kind, n, 7, cli.PipelineSettings())
+        with pytest.raises(DimensionTooSmall):
+            cli.run_verify(kind, n, 2, 7, cli.PipelineSettings())
+
     def test_trial_seeds_derived_from_counter(self, tmp_path):
         from spectral_ellipse.ensembles import counter_value
 
@@ -934,10 +971,9 @@ class TestUsageErrors:
         "argv",
         [
             ["verify", "--ensemble", "Ginibre", "-n", "1"],
-            ["verify", "--ensemble", "Ginibre", "-n", "4", "--sweep-k", "2"],
             ["tightness", "1"],
         ],
-        ids=["verify-n", "verify-sweep-k", "tightness"],
+        ids=["verify-n", "tightness"],
     )
     def test_bad_value_is_a_usage_error(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -947,27 +983,49 @@ class TestUsageErrors:
         assert "usage:" in err and "must be >=" in err
         assert "Traceback" not in err
 
-    # a NaN tolerance passes every `residual > limit` test, a negative slack
-    # fails every margin and an infinite one certifies any ellipse
-    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1"])
     @pytest.mark.parametrize(
-        "command, flag",
-        [("analyze", "--tol"), ("analyze", "--slack"), ("verify", "--tol"), ("verify", "--slack")],
-        ids=["analyze-tol", "analyze-slack", "verify-tol", "verify-slack"],
+        "argv, flag",
+        [
+            (["analyze", "{path}", "--tol", "0"], "--tol 0"),
+            (["analyze", "{path}", "--slack", "0"], "--slack 0"),
+            (["verify", "--ensemble", "Ginibre", "-n", "3", "--sweep-k", "720"], "--sweep-k 720"),
+        ],
+        ids=["analyze-tol", "analyze-slack", "verify-sweep-k"],
     )
-    def test_scale_settings_are_finite_and_nonnegative(self, tmp_path, capsys, command, flag, value):
-        target = [diag13_file(tmp_path)] if command == "analyze" else ["--ensemble", "Ginibre", "-n", "3"]
+    def test_tuning_flags_are_not_accepted(self, tmp_path, capsys, argv, flag):
+        path = diag13_file(tmp_path)
         with pytest.raises(SystemExit) as exc:
-            cli.main([command, *target, f"{flag}={value}"])
+            cli.main([arg.format(path=path) for arg in argv])
         assert exc.value.code == 2
         out, err = capsys.readouterr()
-        assert out == "" and "usage:" in err and f"argument {flag}: must be >= 0.0 and finite" in err
+        assert out == "" and err.startswith("usage: spectral-ellipse ")
+        assert f"error: unrecognized arguments: {flag}" in err and "Traceback" not in err
 
-    @pytest.mark.parametrize("flag", ["--tol", "--slack"])
-    def test_zero_scale_setting_is_accepted(self, tmp_path, capsys, flag):
-        path = write_json_matrix(tmp_path / "i2.json", [[1, 0], [0, 0], [0, 0], [1, 0]], 2)
-        assert cli.main(["analyze", path, flag, "0"]) == 0
-        assert json.loads(capsys.readouterr().out)["containment"]["verdict"] == "Contained"
+
+def readme_usage_flags():
+    """{subcommand: flags} as written in README.md's `## Command line` block."""
+    with open(README, encoding="utf-8") as fh:
+        section = fh.read().split("## Command line", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    flags = {}
+    for line in block.splitlines():
+        words = line.split()
+        if words[0] == "spectral-ellipse":
+            command = words[1]
+            flags[command] = set()
+        flags[command].update(re.findall(r"(?<![\w-])--?[a-z][\w-]*", line))
+    return flags
+
+
+class TestReadmeUsage:
+    def test_readme_names_exactly_the_parser_flags(self):
+        parser = cli._build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        written = readme_usage_flags()
+        assert set(written) == set(sub.choices)
+        for command, subparser in sub.choices.items():
+            flags = {s for action in subparser._actions for s in action.option_strings}
+            assert written[command] == flags - {"-h", "--help"}, command
 
 
 class TestTightness:

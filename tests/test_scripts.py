@@ -59,9 +59,18 @@ def test_render_gallery_rejects_dimension_below_two(tmp_path):
     assert not (tmp_path / "tmp").exists()
 
 
-@pytest.mark.parametrize("args", [("--sizes", "1"), ("--sweep-k", "2"), ("--trials", "0")])
+# --sweep-k is not a flag: the sweep uses PipelineSettings' one value
+BAD_BULK_ARGUMENTS = {
+    ("--sizes", "1"): "argument --sizes: must be >= 2, got 1",
+    ("--sweep-k", "2"): "unrecognized arguments: --sweep-k 2",
+    ("--trials", "0"): "argument --trials: must be >= 1, got 0",
+}
+
+
+@pytest.mark.parametrize("args", list(BAD_BULK_ARGUMENTS))
 def test_bulk_verify_rejects_bad_arguments(args):
     proc = run_script("bulk_verify.py", *args)
     assert proc.returncode == 2
     assert "usage:" in proc.stderr and "Traceback" not in proc.stderr
+    assert BAD_BULK_ARGUMENTS[args] in proc.stderr
     assert proc.stdout == ""
