@@ -721,12 +721,6 @@ class TestAnalyze:
         assert svg1.read_text() == svg2.read_text()
         assert "<polygon" in svg1.read_text()
 
-    def test_zero_scale_setting_is_accepted(self):
-        # with no moment tolerance and no slack the exact identity still
-        # passes validation and is contained
-        an = cli.analyze(np.eye(2, dtype=complex), cli.PipelineSettings(moment_tol=0.0, slack_scale=0.0))
-        assert an.containment.verdict == "Contained"
-
 
 class TestExitCodes:
     def test_parse_error_is_1(self, tmp_path):
@@ -1000,6 +994,15 @@ class TestUsageErrors:
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("usage: spectral-ellipse ")
         assert f"error: unrecognized arguments: {flag}" in err and "Traceback" not in err
+
+    # the ids are the command-line names these settings had before they
+    # became PipelineSettings fields with no option
+    @pytest.mark.parametrize("setting", ["moment_tol", "slack_scale"], ids=["--tol", "--slack"])
+    def test_zero_scale_setting_is_accepted(self, setting):
+        # with no moment tolerance, or no slack, the exact identity still
+        # passes validation and is contained
+        settings = cli.PipelineSettings(**{setting: 0.0})
+        assert cli.analyze(np.eye(2, dtype=complex), settings).containment.verdict == "Contained"
 
 
 def readme_usage_flags():
