@@ -3,14 +3,16 @@ campaigns, print the tightness table, and compute eigensolver-free bounds.
 
 Exit codes, from FAILURES: 0 success, 1 ParseError, 2 NonSquare,
 3 NonConvergence, 4 MomentMismatch, 5 NonFinite (numeric overflow: a
-quantity derived from the input left the float range), each on exactly one
-stderr line.  `verify` exits 0 iff its CSV contains no Violated row.
+quantity derived from the input left the float range), 6 OSError (an output
+file cannot be written), each on exactly one stderr line.  `verify` exits 7
+if its CSV contains a Violated row.  argparse's usage error is also 2.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from dataclasses import astuple, dataclass
 
@@ -31,6 +33,8 @@ EXIT_NONSQUARE = 2
 EXIT_NONCONVERGENCE = 3
 EXIT_MOMENT = 4
 EXIT_OVERFLOW = 5
+EXIT_OUTPUT = 6
+EXIT_VIOLATED = 7
 
 FAILURES = {
     ParseError: (EXIT_PARSE, "parse error"),
@@ -38,6 +42,7 @@ FAILURES = {
     NonConvergence: (EXIT_NONCONVERGENCE, "eigensolver did not converge"),
     MomentMismatch: (EXIT_MOMENT, "moment validation failed"),
     NonFinite: (EXIT_OVERFLOW, "numeric overflow"),
+    OSError: (EXIT_OUTPUT, "cannot write"),  # an unreadable input is a ParseError
 }
 
 CSV_HEADER = "seed,n,q_abs,a,b,min_margin,sweep_min,verdict"
@@ -78,7 +83,7 @@ class Analysis:
 
     decomposition: mx.Decomposition
     spectrum: sp.Spectrum
-    hull: hl.HullPolygon
+    hull: tuple[complex, ...]
     exponent: int
     traceless_exponent: int
     trace_residual: complex
@@ -140,7 +145,7 @@ def analysis_report(an: Analysis) -> dict:
             "major_dir_angle_rad": math.atan2(shape.major_dir.imag, shape.major_dir.real),
             "foci": [complex_obj(an.point(f)) for f in shape.foci],
         },
-        "hull_vertices": [complex_obj(an.point(v)) for v in an.hull.vertices],
+        "hull_vertices": [complex_obj(an.point(v)) for v in an.hull],
         "containment": None if containment is None else {
             "verdict": containment.verdict,
             "min_margin": an.length(containment.min_margin),
@@ -333,6 +338,9 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    folder = os.path.dirname(args.csv_path or "") or "."
+    if args.csv_path and not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
+        raise OSError(f"{args.csv_path}: {folder} is not a writable directory")
     records = run_verify(args.ensemble, args.n, args.trials, args.seed, PipelineSettings())
     csv_text = CSV_HEADER + "\n" + "".join(r.csv() + "\n" for r in records)
     if args.csv_path:
@@ -341,13 +349,11 @@ def _cmd_verify(args) -> int:
     else:
         sys.stdout.write(csv_text)
         sys.stderr.write(_summarize(records) + "\n")
-    violated = any(r.verdict == hl.VIOLATED for r in records)
-    return EXIT_PARSE if violated else EXIT_OK
+    return EXIT_VIOLATED if any(r.verdict == hl.VIOLATED for r in records) else EXIT_OK
 
 
 def _cmd_tightness(args) -> int:
-    rows = tightness_rows(args.n_max)
-    sys.stdout.write(_format_tightness_table(rows))
+    sys.stdout.write(_format_tightness_table(tightness_rows(args.n_max)))
     return EXIT_OK
 
 

@@ -43,14 +43,6 @@ class NormalizedSpectrum:
 
 
 @dataclass(frozen=True)
-class AxisSums:
-    """R and I: root-sum-squares of real/imaginary parts of the mu values."""
-
-    r: float
-    i_: float
-
-
-@dataclass(frozen=True)
 class SpectralEllipse:
     """Closed ellipse of a traceless spectrum, centered at 0 (the reports add
     gamma): semiaxes a >= b, unit major-axis direction, foci +-c*major_dir
@@ -93,10 +85,11 @@ def normalize_mu(lambdas) -> NormalizedSpectrum:
     )
 
 
-def axis_sums(ns: NormalizedSpectrum) -> AxisSums:
+def axis_sums(ns: NormalizedSpectrum) -> tuple[float, float]:
+    """(R, I): root-sum-squares of the real and imaginary parts of the mu values."""
     r = math.sqrt(_sum_of_squares(v.real for v in ns.mu))
     i_ = math.sqrt(_sum_of_squares(v.imag for v in ns.mu))
-    return AxisSums(r=r, i_=i_)
+    return r, i_
 
 
 def _canonical_dir(d: complex) -> complex:
@@ -110,10 +103,10 @@ def ellipse_from_normalized(ns: NormalizedSpectrum, n: int) -> SpectralEllipse:
     """Build the ellipse for an already normalized spectrum of order n."""
     if n < 2:
         raise DimensionTooSmall(f"ellipse needs dimension >= 2, got {n}")
-    ax = axis_sums(ns)
+    r, i_ = axis_sums(ns)
     k = 1.0 / (math.sqrt(2.0) * (n - 1))
-    a = ax.r * k
-    b = ax.i_ * k
+    a = r * k
+    b = i_ * k
     direction = ns.phase_factor.conjugate()
     if a < b:
         # only reachable through rounding near q0 = 0, where R ~ I;

@@ -133,7 +133,7 @@ def _sample_transform(rng: CounterRng, n: int) -> np.ndarray:
     cap = TRANSFORM_CONDITION_CAP * max(1.0, n / 32)
     for _ in range(MAX_TRANSFORM_DRAWS):
         g = _complex_normals(rng, n * n, _TRANSFORM_SPREAD * scale).reshape(n, n)
-        t = matrix.identity(n) + g
+        t = np.eye(n, dtype=complex) + g
         if matrix.condition_estimate(t) <= cap:  # inf for a singular T
             return t
     raise UnsupportedDimension(

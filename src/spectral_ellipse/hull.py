@@ -28,7 +28,6 @@ from fractions import Fraction
 import numpy as np
 
 from .ellipse import (
-    AxisSums,
     DimensionTooSmall,
     NormalizedSpectrum,
     SpectralEllipse,
@@ -39,15 +38,6 @@ from .ellipse import (
 CONTAINED = "Contained"
 VIOLATED = "Violated"
 DEGENERATE = "Degenerate"
-
-
-@dataclass(frozen=True)
-class HullPolygon:
-    """The strict extreme points of a finite point set, counterclockwise: a
-    polygon, a segment (2 vertices, in (re, im) order) when the points are
-    exactly collinear, or a single point when they are all equal."""
-
-    vertices: tuple[complex, ...]
 
 
 @dataclass(frozen=True)
@@ -74,8 +64,11 @@ def _cross(o: complex, a: complex, b: complex) -> float | Fraction:
     return (Fraction(a.real) - ox) * (Fraction(b.imag) - oy) - (Fraction(a.imag) - oy) * (Fraction(b.real) - ox)
 
 
-def convex_hull(points) -> HullPolygon:
-    """Counterclockwise hull by Andrew's monotone chain.
+def convex_hull(points) -> tuple[complex, ...]:
+    """The strict extreme points of a finite point set, counterclockwise, by
+    Andrew's monotone chain: a polygon, a segment (2 vertices, in (re, im)
+    order) when the points are exactly collinear, or a single point when
+    they are all equal.
 
     The chains run over the distinct points in (re, im) order and pop a
     point when the exact cross product is <= 0, so the vertices are exactly
@@ -90,7 +83,7 @@ def convex_hull(points) -> HullPolygon:
         raise ValueError("hull points must be finite")
     uniq = sorted(set(pts), key=lambda z: (z.real, z.imag))
     if len(uniq) == 1:
-        return HullPolygon(vertices=(uniq[0],))
+        return (uniq[0],)
 
     def build(seq):
         chain: list[complex] = []
@@ -102,8 +95,7 @@ def convex_hull(points) -> HullPolygon:
 
     # a chain never pops its first point, so hull starts at uniq[0] and
     # holds uniq[-1]: a two-vertex hull is already in (re, im) order
-    hull = build(uniq)[:-1] + build(reversed(uniq))[:-1]
-    return HullPolygon(vertices=tuple(hull))
+    return tuple(build(uniq)[:-1] + build(reversed(uniq))[:-1])
 
 
 def _dot(u: complex, v: complex) -> float:
@@ -120,8 +112,9 @@ def _step(v0: complex, v1: complex) -> complex:
     return complex(0.5 * v1.real - 0.5 * v0.real, 0.5 * v1.imag - 0.5 * v0.imag)
 
 
-def contains_ellipse(h: HullPolygon, e: SpectralEllipse, slack: float) -> ContainmentReport:
-    """Certify that the ellipse lies inside the hull, up to slack.
+def contains_ellipse(verts: tuple[complex, ...], e: SpectralEllipse, slack: float) -> ContainmentReport:
+    """Certify that the ellipse lies inside the hull `verts` (as from
+    `convex_hull`), up to slack.
 
     Each hull shape gives outward unit directions u, the vertex v each is
     anchored at, and whether the ellipse is flat enough for it: a polygon
@@ -135,7 +128,6 @@ def contains_ellipse(h: HullPolygon, e: SpectralEllipse, slack: float) -> Contai
     else the verdict is Violated if flat and Degenerate if not: a fat
     ellipse against a lower-dimensional hull is ill-posed, not a signed miss.
     """
-    verts = h.vertices
     m = len(verts)
     if m >= 3:
         edges = (_step(verts[k], verts[(k + 1) % m]) for k in range(m))
@@ -163,10 +155,10 @@ def contains_ellipse(h: HullPolygon, e: SpectralEllipse, slack: float) -> Contai
     return ContainmentReport(verdict=verdict, min_margin=margins[worst], worst_direction=dirs[worst])
 
 
-def directional_margin(ns: NormalizedSpectrum, ax: AxisSums, n: int, u: complex) -> float:
-    """Slack in the directional inequality for one direction; it is >= 0 in
-    every direction whenever the mu values sum to zero, giving an
-    ellipse-free containment witness."""
+def directional_margin(ns: NormalizedSpectrum, ax: tuple[float, float], n: int, u: complex) -> float:
+    """Slack in the directional inequality for one direction, with ax = (R, I)
+    from `axis_sums`; it is >= 0 in every direction whenever the mu values
+    sum to zero, giving an ellipse-free containment witness."""
     if n < 2:
         raise DimensionTooSmall(f"directional margin needs n >= 2, got {n}")
     if u == 0:
@@ -174,11 +166,12 @@ def directional_margin(ns: NormalizedSpectrum, ax: AxisSums, n: int, u: complex)
     if len(ns.mu) != n:
         raise ValueError(f"expected {n} normalized values, got {len(ns.mu)}")
     best = max(u.real * v.real + u.imag * v.imag for v in ns.mu)
-    rhs = math.hypot(u.real * ax.r, u.imag * ax.i_) / (math.sqrt(2.0) * (n - 1))
+    r, i_ = ax
+    rhs = math.hypot(u.real * r, u.imag * i_) / (math.sqrt(2.0) * (n - 1))
     return best - rhs
 
 
-def sweep_margins(ns: NormalizedSpectrum, ax: AxisSums, n: int, k: int) -> np.ndarray:
+def sweep_margins(ns: NormalizedSpectrum, ax: tuple[float, float], n: int, k: int) -> np.ndarray:
     """directional_margin at the k directions (cos(2 pi j / k), sin(2 pi j / k)), as an array."""
     if k < 4:
         raise ValueError(f"sweep needs k >= 4 directions, got {k}")
@@ -191,5 +184,6 @@ def sweep_margins(ns: NormalizedSpectrum, ax: AxisSums, n: int, k: int) -> np.nd
     beta = np.sin(theta)
     mu = np.asarray(ns.mu, dtype=complex)
     best = np.max(np.outer(alpha, mu.real) + np.outer(beta, mu.imag), axis=1)
-    rhs = np.hypot(alpha * ax.r, beta * ax.i_) / (math.sqrt(2.0) * (n - 1))
+    r, i_ = ax
+    rhs = np.hypot(alpha * r, beta * i_) / (math.sqrt(2.0) * (n - 1))
     return best - rhs

@@ -30,10 +30,6 @@ def as_matrix(entries) -> np.ndarray:
     return a
 
 
-def identity(n: int) -> np.ndarray:
-    return np.eye(n, dtype=complex)
-
-
 def power_of_two_scale(a: np.ndarray) -> tuple[np.ndarray, int]:
     """(A * 2^-e, e) with e = frexp(m)[1] for the largest real or imaginary
     part m, so the largest part of A * 2^-e lies in [1/2, 1); e = 0 for the
@@ -51,10 +47,6 @@ def power_of_two_scale(a: np.ndarray) -> tuple[np.ndarray, int]:
     e = math.frexp(m)[1]
     half = -e // 2
     return a * math.ldexp(1.0, half) * math.ldexp(1.0, -e - half), e
-
-
-def trace(a: np.ndarray) -> complex:
-    return complex(np.trace(a))
 
 
 def q_form(a: np.ndarray) -> complex:
@@ -77,8 +69,8 @@ class Decomposition:
 def decompose(a: np.ndarray) -> Decomposition:
     a = np.asarray(a, dtype=complex)
     n = a.shape[0]
-    gamma = trace(a) / n
-    a0 = a - gamma * identity(n)
+    gamma = complex(np.trace(a)) / n
+    a0 = a - gamma * np.eye(n, dtype=complex)
     a0.flags.writeable = False
     return Decomposition(
         gamma=gamma,
@@ -112,7 +104,7 @@ def char_poly(a: np.ndarray) -> np.ndarray:
     coefficients in ascending degree order."""
     a = np.asarray(a, dtype=complex)
     n = a.shape[0]
-    eye = identity(n)
+    eye = np.eye(n, dtype=complex)
     m = eye.copy()
     coeffs = np.zeros(n + 1, dtype=complex)
     coeffs[n] = 1.0

@@ -91,7 +91,7 @@ def eigenvalues(a: np.ndarray, tol: float = DEFAULT_MOMENT_TOL) -> Spectrum:
 
     limit = moment_tol(a, tol)
     try:
-        sum_residual = abs(moment(lams, 1) - matrix.trace(a))
+        sum_residual = abs(moment(lams, 1) - complex(np.trace(a)))
         q_residual = abs(moment(lams, 2) - matrix.q_form(a))
     except OverflowError as exc:  # a power sum left the float range
         raise NonFinite(f"eigenvalue power sum overflows: {exc}") from None

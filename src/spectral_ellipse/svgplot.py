@@ -31,8 +31,8 @@ def _fmt(v: float) -> str:
 
 def render_svg(an: Analysis) -> str:
     hull, e = an.hull, an.ellipse
-    xs = [v.real for v in hull.vertices]
-    ys = [v.imag for v in hull.vertices]
+    xs = [v.real for v in hull]
+    ys = [v.imag for v in hull]
     cx = (max(xs) + min(xs)) / 2.0
     cy = (max(ys) + min(ys)) / 2.0
     span = max(max(xs) - min(xs), max(ys) - min(ys))
@@ -50,7 +50,7 @@ def render_svg(an: Analysis) -> str:
         f'height="{int(VIEW)}" viewBox="0 0 {int(VIEW)} {int(VIEW)}">',
     ]
 
-    verts = [to_svg(v) for v in hull.vertices]
+    verts = [to_svg(v) for v in hull]
     if len(verts) >= 3:
         coords = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in verts)
         parts.append(f'<polygon points="{coords}" {_HULL_STYLE}/>')

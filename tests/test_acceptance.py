@@ -92,7 +92,7 @@ def run_campaign_trial(kind: str, n: int, seed: int) -> Trial:
         q_total=cli._scaled(d.q_total, q_exponent),
         q_traceless=cli._scaled(d.q_traceless, q_exponent),
         dec1_residual=cli._scaled(abs(d.q_total - (n * d.gamma**2 + d.q_traceless)), q_exponent),
-        sum_residual=abs(sp.moment(values, 1) - mx.trace(a)),
+        sum_residual=abs(sp.moment(values, 1) - complex(np.trace(a))),
         q_residual=abs(sp.moment(values, 2) - mx.q_form(a)),
         rho=max(abs(v) for v in values),
         shifted_power=sum(abs(v - center) ** 2 for v in values),

@@ -787,6 +787,24 @@ class TestExitCodes:
         assert out == "" and err == f"{prefix}: {exc}\n"
         assert f"{code} {cls.__name__}" in " ".join(cli.__doc__.split())
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["analyze", "{path}", "--json", "nodir/x.json"],
+            ["analyze", "{path}", "--svg", "nodir/x.svg"],
+            ["bound", "{path}", "--json", "nodir/x.json"],
+            ["verify", "--ensemble", "Ginibre", "-n", "3", "--csv", "nodir/x.csv"],
+        ],
+        ids=["analyze-json", "analyze-svg", "bound-json", "verify-csv"],
+    )
+    def test_unwritable_output_is_6_in_a_fresh_process(self, tmp_path, args):
+        path = diag13_file(tmp_path)
+        proc = run_cli([arg.format(path=path) for arg in args], cwd=tmp_path)
+        assert proc.returncode == cli.EXIT_OUTPUT
+        assert proc.stderr.startswith("cannot write: ") and proc.stderr.count("\n") == 1
+        assert "nodir/x." in proc.stderr and "Traceback" not in proc.stderr
+        assert not (tmp_path / "nodir").exists()
+
     @pytest.mark.parametrize("command", ["analyze", "bound"])
     def test_overflow_is_5(self, tmp_path, capsys, command):
         # entries near 2^1000 square past the float range in tr(A^2)
@@ -956,8 +974,29 @@ class TestVerify:
             ["verify", "--ensemble", "Ginibre", "-n", "2", "--trials", "2",
              "--csv", str(csv_path)]
         )
-        assert rc != 0
+        # not EXIT_PARSE: a false verdict and a parse error are told apart
+        assert rc == cli.EXIT_VIOLATED == 7
         assert "Violated" in csv_path.read_text()
+
+    @pytest.mark.parametrize("folder", ["nodir", "afile"])
+    def test_unwritable_csv_fails_before_the_first_trial(self, tmp_path, monkeypatch, capsys, folder):
+        (tmp_path / "afile").write_text("")
+
+        def trial(*args, **kwargs):
+            raise AssertionError("run_trial called before the CSV directory was checked")
+
+        monkeypatch.setattr(cli, "run_trial", trial)
+        monkeypatch.chdir(tmp_path)
+        rc = cli.main(["verify", "--ensemble", "Ginibre", "-n", "3", "--csv", f"{folder}/x.csv"])
+        assert rc == cli.EXIT_OUTPUT == 6
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"cannot write: {folder}/x.csv: {folder} is not a writable directory\n"
+
+    def test_csv_in_the_working_directory(self, tmp_path, monkeypatch, capsys):
+        # a bare file name has no directory part; it goes to the working one
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["verify", "--ensemble", "Ginibre", "-n", "3", "--trials", "2", "--csv", "x.csv"]) == 0
+        assert len((tmp_path / "x.csv").read_text().splitlines()) == 3
 
 
 class TestUsageErrors:
@@ -1020,7 +1059,18 @@ def readme_usage_flags():
     return flags
 
 
+def readme_exit_codes():
+    """The `N` labels of README.md's "Exit codes:" paragraph."""
+    with open(README, encoding="utf-8") as fh:
+        paragraph = fh.read().split("Exit codes:", 1)[1].split("\n\n", 1)[0]
+    return {int(code) for code in re.findall(r"`(\d+)`", paragraph)}
+
+
 class TestReadmeUsage:
+    def test_readme_names_exactly_the_exit_codes(self):
+        codes = {cli.EXIT_OK, cli.EXIT_VIOLATED} | {code for code, _ in cli.FAILURES.values()}
+        assert readme_exit_codes() == codes
+
     def test_readme_names_exactly_the_parser_flags(self):
         parser = cli._build_parser()
         sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))

@@ -142,41 +142,41 @@ def point_ellipse():
 class TestConvexHull:
     def test_interior_point_dropped(self):
         h = convex_hull((0, 1, 1j, 0.2 + 0.2j))
-        assert h.vertices == (0, 1, 1j)
+        assert h == (0, 1, 1j)
 
     def test_two_points_segment(self):
         h = convex_hull((1, -1))
-        assert h.vertices == (-1, 1)
+        assert h == (-1, 1)
 
     def test_extremal_family_collapses_to_segment(self):
         h = convex_hull((-1, -1, 2))
-        assert h.vertices == (-1, 2)
+        assert h == (-1, 2)
 
     def test_single_point(self):
         h = convex_hull((3 + 4j, 3 + 4j))
-        assert h.vertices == (3 + 4j,)
+        assert h == (3 + 4j,)
 
     def test_only_exact_duplicates_merge(self):
-        assert convex_hull((3, 3)).vertices == (3,)
-        assert convex_hull((3, 3 + 3e-14)).vertices == (3, 3 + 3e-14)
+        assert convex_hull((3, 3)) == (3,)
+        assert convex_hull((3, 3 + 3e-14)) == (3, 3 + 3e-14)
         # the exact eigenvalues of [[1, 2^600], [0, -1]] at A0's unit scale
         tiny = 2.0**-601
-        assert convex_hull((tiny, -tiny)).vertices == (-tiny, tiny)
+        assert convex_hull((tiny, -tiny)) == (-tiny, tiny)
 
     def test_counterclockwise_square(self):
         h = convex_hull((1, 1j, -1, -1j))
-        assert h.vertices == (-1, -1j, 1, 1j)
+        assert h == (-1, -1j, 1, 1j)
 
     def test_only_exact_collinearity_gives_a_segment(self):
-        assert convex_hull((0, 1, 0.5 + 1e-12j)).vertices == (0, 1, 0.5 + 1e-12j)
-        assert convex_hull((0, 1, 0.5)).vertices == (0, 1)
+        assert convex_hull((0, 1, 0.5 + 1e-12j)) == (0, 1, 0.5 + 1e-12j)
+        assert convex_hull((0, 1, 0.5)) == (0, 1)
 
     def test_near_vertical_line_keeps_both_ends(self):
         # the (re, im) sort follows the 1e-22 offsets, not the line; a 1e-12
         # relative tolerance in the orientation test drops the end at 1j, and
         # the exact test keeps the middle point 2e-22 off the line as well
         h = convex_hull([1e-22, -1e-22 - 1j, 1j])
-        assert h.vertices == (-1e-22 - 1j, 1e-22, 1j)
+        assert h == (-1e-22 - 1j, 1e-22, 1j)
 
     @pytest.mark.parametrize(
         "pts, ends",
@@ -187,14 +187,14 @@ class TestConvexHull:
         # far end (both found by hypothesis); the exact sign keeps both ends,
         # and the third point, 5e-324 off their line, makes the hull the thin
         # counterclockwise triangle of all three
-        h = convex_hull(pts).vertices
+        h = convex_hull(pts)
         assert set(ends) <= set(h)
         assert h == tuple(pts)
 
     def test_total_on_finite_input(self):
         # differences of 2e308 overflow; the exact orientation still holds
         big = [1e308 + 1e308j, -1e308 - 1e308j, 1e308 - 1e308j]
-        assert convex_hull(big).vertices == (-1e308 - 1e308j, 1e308 - 1e308j, 1e308 + 1e308j)
+        assert convex_hull(big) == (-1e308 - 1e308j, 1e308 - 1e308j, 1e308 + 1e308j)
         for bad in ([0, 1, math.nan], [0, 1, math.inf], [0, 1, complex(0.0, -math.inf)]):
             with pytest.raises(ValueError, match="finite"):
                 convex_hull(bad)
@@ -205,12 +205,12 @@ class TestConvexHull:
                 complex(a, b)
                 for a, b in RNG.uniform(-2, 2, size=(int(RNG.integers(1, 25)), 2))
             )
-            assert_exact_hull(pts, convex_hull(pts).vertices)
+            assert_exact_hull(pts, convex_hull(pts))
 
     @given(extreme_point_sets())
     @settings(max_examples=300, deadline=None)
     def test_vertices_are_exactly_the_extreme_points(self, pts):
-        assert_exact_hull(pts, convex_hull(pts).vertices)
+        assert_exact_hull(pts, convex_hull(pts))
 
     @given(
         st.permutations(
@@ -220,7 +220,7 @@ class TestConvexHull:
     @settings(max_examples=50, deadline=None)
     def test_permutation_invariant(self, pts):
         base = convex_hull([0, 1, 1j, -1, -1j, 0.5 + 0.5j, 0.25 - 0.125j, -0.7 + 0.2j, 0.9 + 0.01j])
-        assert convex_hull(pts).vertices == base.vertices
+        assert convex_hull(pts) == base
 
     @given(
         near_collinear_points(),
@@ -239,8 +239,8 @@ class TestConvexHull:
         # of the hull, vertex for vertex
         h = convex_hull(pts)
         h_image = convex_hull([transform(p) for p in pts])
-        image = sorted(h_image.vertices, key=by_coordinates)
-        assert image == sorted(map(transform, h.vertices), key=by_coordinates)
+        image = sorted(h_image, key=by_coordinates)
+        assert image == sorted(map(transform, h), key=by_coordinates)
 
         # and containment commutes, with the ellipse's axis mapped alongside
         def ellipse(d):

@@ -7,6 +7,8 @@ import sys
 
 import pytest
 
+from spectral_ellipse.cli import EXIT_OUTPUT
+
 SCRIPTS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scripts")
 
 
@@ -57,6 +59,18 @@ def test_render_gallery_rejects_dimension_below_two(tmp_path):
         assert proc.returncode == 2
         assert "usage:" in proc.stderr and "Traceback" not in proc.stderr
     assert not (tmp_path / "tmp").exists()
+
+
+@pytest.mark.parametrize("out", ["taken", "taken/sub"])
+def test_render_gallery_unwritable_out_is_one_line(tmp_path, out):
+    # --out names a file, or a directory under one: the command line's exit 6
+    (tmp_path / "taken").write_text("kept")
+    proc = run_script("render_gallery.py", "-n", "3", "--out", out, cwd=tmp_path)
+    assert proc.returncode == EXIT_OUTPUT == 6
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("cannot write: ") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
+    assert (tmp_path / "taken").read_text() == "kept"
 
 
 # --sweep-k is not a flag: the sweep uses PipelineSettings' one value
