@@ -50,17 +50,12 @@ CSV_HEADER = "seed,n,q_abs,a,b,min_margin,sweep_min,verdict"
 
 @dataclass(frozen=True)
 class PipelineSettings:
-    """The pipeline's three settings, one value each and no command-line option
-    (a looser tolerance passes junk spectra, a larger slack certifies ellipses
-    that leave the hull); a class so that callers pass them as one argument."""
+    """The pipeline's two settings, one value each and no command-line option
+    (a looser tolerance passes junk spectra); a class so that callers pass
+    them as one argument.  The slack is derived: `hl.containment_slack`."""
 
     moment_tol: float = sp.DEFAULT_MOMENT_TOL
-    slack_scale: float = 1e-8
     sweep_k: int = 720
-
-    def slack(self, values) -> float:
-        """slack_scale * (1 + max|v|), of the traceless values at A0's unit scale in `analyze`."""
-        return self.slack_scale * (1.0 + max(abs(v) for v in values))
 
 
 def _scaled(z, e: int):
@@ -123,7 +118,7 @@ def analyze(a, settings: PipelineSettings = PipelineSettings()) -> Analysis:
         return Analysis(d, spectrum, hull, e, e0, delta, None, None, None, None)
     ns = el.normalize_mu(spectrum.values)
     shape = el.ellipse_from_normalized(ns, n)
-    containment = hl.contains_ellipse(hull, shape, settings.slack(spectrum.values))
+    containment = hl.contains_ellipse(hull, shape, hl.containment_slack(spectrum.values))
     _, bound = el.trace_only_bound(d)
     return Analysis(d, spectrum, hull, e, e0, delta, ns, shape, containment, bound)
 
@@ -329,11 +324,12 @@ def _save(path: str, text: str) -> None:
 def _cmd_analyze(args) -> int:
     an = analyze(load_matrix(args.path, args.format), PipelineSettings())
     text = canonical_json(analysis_report(an))
-    sys.stdout.write(text)
+    svg = render_svg(an) if args.svg_path else None
     if args.json_path:
         _save(args.json_path, text)
-    if args.svg_path:
-        _save(args.svg_path, render_svg(an))
+    if svg is not None:
+        _save(args.svg_path, svg)
+    sys.stdout.write(text)  # last, so that a failed exit prints no report
     return EXIT_OK
 
 
@@ -359,9 +355,9 @@ def _cmd_tightness(args) -> int:
 
 def _cmd_bound(args) -> int:
     text = canonical_json(bound_report(load_matrix(args.path, args.format)))
-    sys.stdout.write(text)
     if args.json_path:
         _save(args.json_path, text)
+    sys.stdout.write(text)
     return EXIT_OK
 
 

@@ -22,8 +22,6 @@ from .matrix import Decomposition
 from .numerics import NonFinite, principal_sqrt
 from .spectrum import Spectrum
 
-Q_ZERO_REL_THRESHOLD = 1e-12
-
 
 class DimensionTooSmall(ValueError):
     """Ellipse construction needs n >= 2; the 1/(n-1) factor vanishes below."""
@@ -66,18 +64,14 @@ def _sum_of_squares(xs) -> float:
 
 def normalize_mu(lambdas) -> NormalizedSpectrum:
     """Rotate the multiset by the unit u with u^2 = |q0|/q0 (principal branch),
-    where q0 = sum(lambda^2).
-
-    When |q0| is below the detection threshold the values pass through
-    unchanged with phase_factor 1; both limits agree, so misclassification
-    near zero is harmless.  That holds because `cli.analyze` passes the
-    values at A0's own unit scale, so the threshold is relative to A0 and
-    not to a dominant gamma, at whose scale every q0 would look like zero.
-    """
+    q0 = sum(lambda^2).  Where |q0| <= (n + 1) 2^-52 sum|lambda|^2, the rounding
+    bound of the computed q0, the values pass through unchanged with
+    phase_factor 1.  Either branch gives the theorem's ellipse to within
+    `hull.containment_slack` (README, "Rounding bounds")."""
     lam = tuple(complex(v) for v in lambdas)
     q0 = complex(sum(v * v for v in lam))
     power = _sum_of_squares(abs(v) for v in lam)
-    if abs(q0) <= Q_ZERO_REL_THRESHOLD * (1.0 + power):
+    if abs(q0) <= (len(lam) + 1) * 2.0**-52 * power:
         return NormalizedSpectrum(mu=lam, phase_factor=1.0 + 0.0j, q_abs=abs(q0))
     u = principal_sqrt(q0.conjugate() / abs(q0))
     return NormalizedSpectrum(

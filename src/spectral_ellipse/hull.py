@@ -112,9 +112,20 @@ def _step(v0: complex, v1: complex) -> complex:
     return complex(0.5 * v1.real - 0.5 * v0.real, 0.5 * v1.imag - 0.5 * v0.imag)
 
 
+def containment_slack(mu) -> float:
+    """Bound on how far rounding moves a margin of `contains_ellipse` past the
+    theorem's 0, for the n >= 2 values mu: 2|sum mu|/n for their centering,
+    (28 + 2.1 sqrt(n)) 2^-52 max|mu| for the arithmetic from q0 to the margin,
+    and n 2^-500, at most 4 max|mu|, for underflow (README, "Rounding bounds")."""
+    n, m = len(mu), max(map(abs, mu))
+    s = complex(math.fsum(v.real for v in mu), math.fsum(v.imag for v in mu))
+    return 2.0 * abs(s) / n + (28.0 + 2.1 * math.sqrt(n)) * 2.0**-52 * m + min(4.0 * m, n * 2.0**-500)
+
+
 def contains_ellipse(verts: tuple[complex, ...], e: SpectralEllipse, slack: float) -> ContainmentReport:
     """Certify that the ellipse lies inside the hull `verts` (as from
-    `convex_hull`), up to slack.
+    `convex_hull`), up to slack; with `containment_slack` as the slack, any
+    verdict but Contained says that the theorem fails beyond rounding.
 
     Each hull shape gives outward unit directions u, the vertex v each is
     anchored at, and whether the ellipse is flat enough for it: a polygon
@@ -180,8 +191,7 @@ def sweep_margins(ns: NormalizedSpectrum, ax: tuple[float, float], n: int, k: in
     if len(ns.mu) != n:
         raise ValueError(f"expected {n} normalized values, got {len(ns.mu)}")
     theta = 2.0 * math.pi * np.arange(k) / k
-    alpha = np.cos(theta)
-    beta = np.sin(theta)
+    alpha, beta = np.cos(theta), np.sin(theta)
     mu = np.asarray(ns.mu, dtype=complex)
     best = np.max(np.outer(alpha, mu.real) + np.outer(beta, mu.imag), axis=1)
     r, i_ = ax

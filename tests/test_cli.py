@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -805,6 +806,54 @@ class TestExitCodes:
         assert "nodir/x." in proc.stderr and "Traceback" not in proc.stderr
         assert not (tmp_path / "nodir").exists()
 
+    @pytest.mark.parametrize(
+        "command, code, args",
+        [
+            ("analyze", cli.EXIT_PARSE, ["{bad}"]),
+            ("analyze", cli.EXIT_NONSQUARE, ["{rect}"]),
+            ("analyze", cli.EXIT_NONCONVERGENCE, ["{good}"]),
+            ("analyze", cli.EXIT_MOMENT, ["{good}"]),
+            ("analyze", cli.EXIT_OVERFLOW, ["{big}"]),
+            ("analyze", cli.EXIT_OUTPUT, ["{good}", "--json", "{nodir}/x.json"]),
+            ("analyze", cli.EXIT_OUTPUT, ["{good}", "--svg", "{nodir}/x.svg"]),
+            ("bound", cli.EXIT_PARSE, ["{bad}"]),
+            ("bound", cli.EXIT_NONSQUARE, ["{rect}"]),
+            ("bound", cli.EXIT_OVERFLOW, ["{big}"]),
+            ("bound", cli.EXIT_OUTPUT, ["{good}", "--json", "{nodir}/x.json"]),
+        ],
+        ids=[
+            "analyze-1", "analyze-2", "analyze-3", "analyze-4", "analyze-5", "analyze-6-json", "analyze-6-svg",
+            "bound-1", "bound-2", "bound-5", "bound-6-json",
+        ],
+    )
+    def test_a_failed_exit_prints_no_report(self, tmp_path, monkeypatch, capsys, command, code, args):
+        # the report reaches stdout only after every output file is saved, so
+        # a caller that reads stdout on a nonzero exit finds nothing there
+        (tmp_path / "bad.json").write_text("{broken")
+        (tmp_path / "rect.mtx").write_text("%%MatrixMarket matrix array real general\n2 3\n1\n2\n3\n4\n5\n6\n")
+        big = 2.0**1000
+        paths = {
+            "bad": str(tmp_path / "bad.json"),
+            "rect": str(tmp_path / "rect.mtx"),
+            # the golden-ratio matrix: tiny but nonzero moment residuals
+            "good": write_json_matrix(tmp_path / "g.json", [[0, 0], [1, 0], [1, 0], [1, 0]], 2),
+            "big": write_json_matrix(tmp_path / "big.json", [[big, 0], [2 * big, 0], [3 * big, 0], [-big, 0]], 2),
+            "nodir": str(tmp_path / "nodir"),
+        }
+        if code == cli.EXIT_NONCONVERGENCE:
+
+            def explode(a, tol):
+                raise NonConvergence("stuck", (1.0,))
+
+            monkeypatch.setattr(cli.sp, "eigenvalues", explode)
+        if code == cli.EXIT_MOMENT:
+            strict = cli.PipelineSettings(moment_tol=0.0)
+            monkeypatch.setattr(cli, "PipelineSettings", lambda: strict)
+        assert cli.main([command] + [arg.format(**paths) for arg in args]) == code
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.endswith("\n") and err.count("\n") == 1 and "Traceback" not in err
+
     @pytest.mark.parametrize("command", ["analyze", "bound"])
     def test_overflow_is_5(self, tmp_path, capsys, command):
         # entries near 2^1000 square past the float range in tr(A^2)
@@ -1034,14 +1083,22 @@ class TestUsageErrors:
         assert out == "" and err.startswith("usage: spectral-ellipse ")
         assert f"error: unrecognized arguments: {flag}" in err and "Traceback" not in err
 
-    # the ids are the command-line names these settings had before they
-    # became PipelineSettings fields with no option
-    @pytest.mark.parametrize("setting", ["moment_tol", "slack_scale"], ids=["--tol", "--slack"])
+    # the id is the command-line name this setting had before it became a
+    # PipelineSettings field with no option
+    @pytest.mark.parametrize("setting", ["moment_tol"], ids=["--tol"])
     def test_zero_scale_setting_is_accepted(self, setting):
-        # with no moment tolerance, or no slack, the exact identity still
-        # passes validation and is contained
+        # with no moment tolerance the exact identity still passes
+        # validation and is contained
         settings = cli.PipelineSettings(**{setting: 0.0})
         assert cli.analyze(np.eye(2, dtype=complex), settings).containment.verdict == "Contained"
+
+    def test_derived_slack_of_the_identity_is_zero(self):
+        # the slack is no setting: it is the rounding bound of the spectrum,
+        # and the identity's traceless spectrum is exactly 0, with nothing to round
+        an = cli.analyze(np.eye(2, dtype=complex))
+        assert cli.hl.containment_slack(an.spectrum.values) == 0.0
+        assert an.containment.verdict == "Contained"
+        assert [f.name for f in dataclasses.fields(cli.PipelineSettings)] == ["moment_tol", "sweep_k"]
 
 
 def readme_usage_flags():

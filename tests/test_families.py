@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from spectral_ellipse import cli
-from spectral_ellipse.hull import CONTAINED
+from spectral_ellipse.hull import CONTAINED, containment_slack
 from spectral_ellipse.matrix import as_matrix
 
 SIZES = (2, 3, 4, 8)
@@ -128,14 +128,13 @@ def matched_distance(got, want):
 @pytest.mark.parametrize("shift", (0.0, 1.0, 1e2, 1e4, 1e6, 1e8, 1e12))
 @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.__name__)
 def test_family_is_contained_under_i_and_conj(family, shift):
-    slack = cli.PipelineSettings().slack
     for a, lam in family_band(family, shift):
         analyses = [cli.analyze(as_matrix(m)) for m in (a, 1j * a, np.conj(a))]
         assert [an.containment.verdict for an in analyses] == [CONTAINED] * 3, a
         if family is not jordan_block:
             # A0 = N is nilpotent there, and its semimajor root-finder noise
             for an in analyses:
-                assert slack(an.spectrum.values) <= 1e-6 * an.ellipse.semimajor, a
+                assert containment_slack(an.spectrum.values) <= 1e-6 * an.ellipse.semimajor, a
         if lam is not None:
             fro = np.linalg.norm(a)
             # 1e3 eps ||A||_F is the cost of the characteristic-polynomial

@@ -20,6 +20,7 @@ from spectral_ellipse.hull import (
     DEGENERATE,
     VIOLATED,
     _cross,
+    containment_slack,
     contains_ellipse,
     convex_hull,
     directional_margin,
@@ -448,9 +449,10 @@ class TestWitnessAgreement:
             ax = axis_sums(ns)
             e = ellipse_from_normalized(ns, n)
             h = convex_hull(s.values)
-            scale = 1 + max(abs(v) for v in s.values)
-            rep = contains_ellipse(h, e, 1e-8 * scale)
-            mu_scale = 1 + max(abs(v) for v in ns.mu)
-            sweep_ok = min(sweep_margins(ns, ax, n, 180)) >= -1e-8 * mu_scale
+            # the derived slack bounds the rounding of both witnesses: the
+            # sweep does the margin's arithmetic on the rotated values
+            slack = containment_slack(s.values)
+            rep = contains_ellipse(h, e, slack)
+            sweep_ok = min(sweep_margins(ns, ax, n, 180)) >= -slack
             assert (rep.verdict == CONTAINED) == sweep_ok
             assert rep.verdict == CONTAINED
