@@ -321,7 +321,19 @@ def _save(path: str, text: str) -> None:
         fh.write(text)
 
 
+def _check_writable(*paths) -> None:
+    """OSError unless the directory of every path given (None: no file) is
+    a writable directory.  A command calls it before it reads or computes
+    anything, so a missing or read-only directory fails the run before any
+    of its files is saved."""
+    for path in filter(None, paths):
+        folder = os.path.dirname(path) or "."
+        if not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
+            raise OSError(f"{path}: {folder} is not a writable directory")
+
+
 def _cmd_analyze(args) -> int:
+    _check_writable(args.json_path, args.svg_path)
     an = analyze(load_matrix(args.path, args.format), PipelineSettings())
     text = canonical_json(analysis_report(an))
     svg = render_svg(an) if args.svg_path else None
@@ -334,9 +346,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    folder = os.path.dirname(args.csv_path or "") or "."
-    if args.csv_path and not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
-        raise OSError(f"{args.csv_path}: {folder} is not a writable directory")
+    _check_writable(args.csv_path)
     records = run_verify(args.ensemble, args.n, args.trials, args.seed, PipelineSettings())
     csv_text = CSV_HEADER + "\n" + "".join(r.csv() + "\n" for r in records)
     if args.csv_path:
@@ -354,6 +364,7 @@ def _cmd_tightness(args) -> int:
 
 
 def _cmd_bound(args) -> int:
+    _check_writable(args.json_path)
     text = canonical_json(bound_report(load_matrix(args.path, args.format)))
     if args.json_path:
         _save(args.json_path, text)

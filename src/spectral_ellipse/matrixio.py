@@ -12,7 +12,10 @@ converts values about `_CHUNK` characters at a time into one preallocated
 float64 array and names the first bad one, so no token list or JSON tree of
 the whole file is built for Matrix Market `array` data (tokenized once, cut
 at line feeds, the size line laid out any way) or for JSON laid out as
-{"n": N, "entries": [...]} (cut between pairs).  `coordinate` entries are
+{"n": N, "entries": [...]} (cut between pairs).  A JSON chunk is one
+`json.loads` of a flat list of numbers, its brackets read as blanks, taken
+when its bracket skeleton shows it is exactly [re, im] number pairs
+(`_json_values`); a chunk that is not is a fault.  `coordinate` entries are
 read one at a time from one token list; JSON of another layout or with a
 fault is parsed whole, which names the first offending entry.
 """
@@ -34,6 +37,7 @@ _CHUNK = 1 << 16  # characters converted at a time
 # the header line: up to the first line end, as str.splitlines() cuts lines
 _FIRST_LINE = re.compile(r"[^\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]*")
 _JSON_WS = re.compile(r"[ \t\n\r]*")
+_JSON_WS_BYTES = b" \t\n\r"
 # the documented JSON layout up to the bracket that opens the entries
 _JSON_HEAD = re.compile(
     r'[ \t\n\r]*\{[ \t\n\r]*"n"[ \t\n\r]*:[ \t\n\r]*([1-9][0-9]{0,17})'
@@ -208,25 +212,44 @@ def _json_entry(idx: int, pair) -> complex:
     return complex(_json_value(idx, pair[0]), _json_value(idx, pair[1]))
 
 
+def _json_values(chunk: str):
+    """The values of `chunk` when it is exactly k >= 1 JSON [re, im] number
+    pairs joined by commas, else None.
+
+    One json.loads reads the brackets as blanks, so it builds one flat list
+    and no list per pair.  The shape is then checked on the chunk without
+    JSON whitespace: its skeleton, what is left once number characters are
+    deleted, is `[,],` k - 1 times and then `[,]`; it starts with `[`, ends
+    with `]`, and holds k - 1 `],[`.  So the chunk holds nothing but number
+    characters, blanks, commas and brackets, and each value is a JSON
+    number: an int or a float (not a bool, a string, NaN or Infinity).  And
+    of the 2k - 1 commas between the values, one falls inside each pair and
+    one, with `]` and `[` next to it, between each two pairs."""
+    if not chunk.isascii():
+        return None
+    try:
+        values = json.loads("[" + chunk.replace("[", " ").replace("]", " ") + "]")
+    except (ValueError, RecursionError):
+        return None
+    k = len(values) // 2
+    compact = chunk.encode()
+    if any(ws in compact for ws in _JSON_WS_BYTES):  # a compact file has none
+        compact = compact.translate(None, _JSON_WS_BYTES)
+    skeleton = compact.translate(None, b"0123456789+-.eE")
+    ok = skeleton == b"[,]," * (k - 1) + b"[,]" and compact.count(b"],[") == k - 1
+    return values if ok and compact.startswith(b"[") and compact.endswith(b"]") else None
+
+
 def _json_chunks(text: str, pos: int, end: int):
     """The values of the entries text[pos:end], one chunk at a time, each
-    cut at the first `,` after a `]`: the list of values of a chunk that
-    parses as a nonempty list of [re, im] number pairs, else None."""
+    cut at the first `,` after a `]`: `_json_values` of each chunk."""
     while True:
         cut = text.find("]", pos + _CHUNK, end)
         if cut >= 0:
             cut = text.find(",", cut, end)
         if cut < 0:
             cut = end
-        try:
-            pairs = json.loads("[" + text[pos:cut] + "]")
-        except (ValueError, RecursionError):
-            pairs = None
-        # json.loads builds exact list/int/float/bool objects, so type sets are exact
-        values = None
-        if pairs is not None and set(map(type, pairs)) == {list} and set(map(len, pairs)) == {2}:
-            values = list(chain.from_iterable(pairs))
-        yield values if values is not None and set(map(type, values)) <= {int, float} else None
+        yield _json_values(text[pos:cut])
         if cut == end:
             return
         pos = cut + 1

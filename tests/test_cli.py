@@ -473,6 +473,47 @@ class TestParserParity:
         with mock.patch.object(matrixio, "_CHUNK", chunk):
             assert outcome(parse, text) == outcome(scalar, text)
 
+    @pytest.mark.parametrize("chunk", [1, 2, 7, 40])
+    @pytest.mark.parametrize(
+        "body",
+        [
+            # n = 2 bodies of eight values: near-pairs the chunked reader must
+            # refuse (the first two pass every check but the separator and
+            # end ones), then valid layouts with blanks
+            "[1,]2,[3,4],[5,6],[7,8]",
+            "1[,2],[3,4],[5,6],[7,8]",
+            "[1,2,3],[4],[5,6],[7,8]",
+            "[[1,2]],[3,4],[5,6],[7,8]",
+            '["x,y],[z",2],[3,4],[5,6],[7,8]',
+            "[1,2] [3,4],[5,6],[7,8]",
+            "[1,2],,[3,4],[5,6],[7,8]",
+            "[1,true],[3,4],[5,6],[7,8]",
+            '["\ud800",2],[3,4],[5,6],[7,8]',
+            " [ 1 , 2 ] , [ 3 , 4 ] , [5,6],[7,8] ",
+            "\t[\t1,\t2\t],\n[3,\r\n4]\t,[5 ,6] ,[7, -8e0]\n",
+            "[1, 2], [3, 4], [5, 6], [7, 8]",
+        ],
+    )
+    def test_json_pair_shape_is_read_as_the_scalar_reading_reads_it(self, body, chunk):
+        text = f'{{"n": 2, "entries": [{body}]}}'
+        with mock.patch.object(matrixio, "_CHUNK", chunk):
+            assert outcome(parse_json_matrix, text) == outcome(scalar_json, text)
+
+    @pytest.mark.parametrize("chunk", [1, 7, matrixio._CHUNK])
+    def test_valid_json_layouts_take_the_chunked_path(self, chunk):
+        # a valid file sent to the whole-tree reader is read right but slowly
+        rng = np.random.default_rng(8)
+        a = rng.standard_normal((40, 40)) + 1j * rng.standard_normal((40, 40))
+        texts = [json_text(a), json.dumps({"n": 40, "entries": [[z.real, z.imag] for z in a.ravel().tolist()]})]
+        for name in sorted(os.listdir(GOLDEN_INPUTS)):
+            if name.endswith(".json"):
+                with open(os.path.join(GOLDEN_INPUTS, name), encoding="utf-8") as fh:
+                    texts.append(fh.read())
+        with mock.patch.object(matrixio, "_CHUNK", chunk):
+            for text in texts:
+                fast = matrixio._chunked_json(text)
+                assert fast is not None and same_bits(fast, scalar_json(text))
+
     @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
     @pytest.mark.parametrize("fault", [None, "real", "bad token", "nan", "missing", "extra"])
     def test_mtx_larger_than_a_chunk(self, newline, fault):
@@ -853,6 +894,14 @@ class TestExitCodes:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.endswith("\n") and err.count("\n") == 1 and "Traceback" not in err
+
+    def test_an_unwritable_svg_leaves_no_json(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        path = os.path.join(GOLDEN_INPUTS, "n2.json")
+        assert cli.main(["analyze", path, "--json", "ok.json", "--svg", "nodir/x.svg"]) == cli.EXIT_OUTPUT
+        out, err = capsys.readouterr()
+        assert out == "" and err == "cannot write: nodir/x.svg: nodir is not a writable directory\n"
+        assert os.listdir(tmp_path) == []
 
     @pytest.mark.parametrize("command", ["analyze", "bound"])
     def test_overflow_is_5(self, tmp_path, capsys, command):
