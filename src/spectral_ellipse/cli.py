@@ -322,14 +322,19 @@ def _save(path: str, text: str) -> None:
 
 
 def _check_writable(*paths) -> None:
-    """OSError unless the directory of every path given (None: no file) is
-    a writable directory.  A command calls it before it reads or computes
-    anything, so a missing or read-only directory fails the run before any
+    """OSError unless every path given (None: no file) can be saved: its
+    directory is a writable directory, and the path is neither a directory
+    nor an existing file that cannot be written.  A command calls it before
+    it reads or computes anything, so such a path fails the run before any
     of its files is saved."""
     for path in filter(None, paths):
         folder = os.path.dirname(path) or "."
         if not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
             raise OSError(f"{path}: {folder} is not a writable directory")
+        if os.path.isdir(path):
+            raise OSError(f"{path} is a directory")
+        if os.path.exists(path) and not os.access(path, os.W_OK):
+            raise OSError(f"{path} is a file that cannot be written")
 
 
 def _cmd_analyze(args) -> int:

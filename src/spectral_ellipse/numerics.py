@@ -2,7 +2,9 @@
 
 All routines are pure functions of their inputs and never admit NaN/Inf.
 The square-root branch fixed here (argument in (-pi/2, pi/2]) is the one
-convention every downstream phase computation relies on.
+convention every downstream phase computation relies on.  The root finder
+evaluates each iterate once: the damping step's evaluation of the candidate
+it accepts starts the next sweep.
 """
 
 from __future__ import annotations
@@ -132,14 +134,23 @@ def _sweep_phase(coeffs, z, budget, compensated):
     floor and none is still making real progress; only that settled
     multiset reproduces the coefficients' power sums (the downstream
     moment checks) to rounding accuracy.
+
+    Each sweep evaluates its point once: when the damping loop's last
+    candidate becomes the next iterate, that candidate's evaluation starts
+    the next sweep.  Returns the final iterate and the latest
+    (point, evaluation) pair; `find_roots` reuses the evaluation for its
+    residual check when the pair's point is that iterate.
     """
     deg = len(z)
     evaluate_all = _comp_horner_all if compensated else _horner_all
     eval_noise = (4.0 * deg * deg * _EPS * _EPS) if compensated else (8.0 * _EPS)
     off_diag = ~np.eye(deg, dtype=bool)
     best = np.full(deg, np.inf)
+    last = (None, None)
     for _ in range(budget):
-        pz, dpz, bound = evaluate_all(coeffs, z)
+        if last[0] is not z:
+            last = z, evaluate_all(coeffs, z)
+        pz, dpz, bound = last[1]
         res = np.abs(pz)
         # a residual is "at the floor" when it cannot be certified smaller:
         # evaluation noise plus position quantization (moving z by one ulp
@@ -175,7 +186,8 @@ def _sweep_phase(coeffs, z, budget, compensated):
         cand = z - step
         accepted = at_floor.copy()
         for _ in range(_MAX_HALVINGS):
-            res_cand = np.abs(evaluate_all(coeffs, cand)[0])
+            last = cand, evaluate_all(coeffs, cand)
+            res_cand = np.abs(last[1][0])
             accepted |= res_cand <= res
             if bool(np.all(accepted)):
                 break
@@ -184,7 +196,7 @@ def _sweep_phase(coeffs, z, budget, compensated):
         if not bool(np.all(accepted)):
             cand = np.where(accepted, cand, np.where(at_floor, z, z - full_step))
         z = cand
-    return z
+    return z, last
 
 
 _POLISH_BUDGET = 60
@@ -224,10 +236,10 @@ def find_roots(coeffs: np.ndarray) -> tuple[complex, ...]:
     k = np.arange(deg)
     z = radius * np.exp(1j * (2.0 * math.pi * k / deg + _GOLDEN_ANGLE * k))
 
-    z = _sweep_phase(coeffs, z, DEFAULT_MAX_ITER, compensated=False)
-    z = _sweep_phase(coeffs, z, min(_POLISH_BUDGET, DEFAULT_MAX_ITER), compensated=True)
+    z, _ = _sweep_phase(coeffs, z, DEFAULT_MAX_ITER, compensated=False)
+    z, last = _sweep_phase(coeffs, z, min(_POLISH_BUDGET, DEFAULT_MAX_ITER), compensated=True)
 
-    pz, dpz, bound = _comp_horner_all(coeffs, z)
+    pz, dpz, bound = last[1] if last[0] is z else _comp_horner_all(coeffs, z)
     res = np.abs(pz)
     floor = 4.0 * deg * deg * _EPS * _EPS * bound + np.abs(dpz) * (_EPS * np.abs(z))
     if not bool(np.all((res <= limit) | (res <= floor))):

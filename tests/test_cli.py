@@ -903,6 +903,27 @@ class TestExitCodes:
         assert out == "" and err == "cannot write: nodir/x.svg: nodir is not a writable directory\n"
         assert os.listdir(tmp_path) == []
 
+    def test_a_directory_as_output_leaves_no_json(self, tmp_path):
+        (tmp_path / "adir").mkdir()
+        path = os.path.join(GOLDEN_INPUTS, "n2.json")
+        proc = run_cli(["analyze", path, "--json", "ok.json", "--svg", "adir"], cwd=tmp_path)
+        assert proc.returncode == cli.EXIT_OUTPUT
+        assert proc.stdout == "" and proc.stderr == "cannot write: adir is a directory\n"
+        assert sorted(os.listdir(tmp_path)) == ["adir"] and os.listdir(tmp_path / "adir") == []
+
+    def test_a_read_only_file_as_output_leaves_no_json(self, tmp_path, monkeypatch, capsys):
+        # root may write a 0o444 file, so the check's own os.access call is
+        # what reports it read-only here
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "ro.svg").write_text("kept")
+        access = os.access
+        monkeypatch.setattr(os, "access", lambda p, mode: p != "ro.svg" and access(p, mode))
+        path = os.path.join(GOLDEN_INPUTS, "n2.json")
+        assert cli.main(["analyze", path, "--json", "ok.json", "--svg", "ro.svg"]) == cli.EXIT_OUTPUT
+        out, err = capsys.readouterr()
+        assert out == "" and err == "cannot write: ro.svg is a file that cannot be written\n"
+        assert os.listdir(tmp_path) == ["ro.svg"] and (tmp_path / "ro.svg").read_text() == "kept"
+
     @pytest.mark.parametrize("command", ["analyze", "bound"])
     def test_overflow_is_5(self, tmp_path, capsys, command):
         # entries near 2^1000 square past the float range in tr(A^2)

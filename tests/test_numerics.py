@@ -118,6 +118,35 @@ class TestEvaluate:
         assert self.values(poly(3.25), 1e300) == [3.25, 3.25]
 
 
+class TestEvaluationCount:
+    """find_roots evaluates each iterate once per phase: the damping loop's
+    evaluation of the candidate that becomes the next iterate starts the next
+    sweep, and the final residual check reuses the polish phase's last one."""
+
+    POLYNOMIALS = {
+        "random-16": np.append(np.random.default_rng(23).uniform(-3, 3, size=(16, 2)) @ np.array([1, 1j]), 1.0),
+        "remark-extremal": from_roots([-1.0] * 7 + [7.0]),
+        "jordan": poly(0, 0, 0, 0, 0, 1),
+    }
+
+    @pytest.mark.parametrize("name", POLYNOMIALS)
+    def test_no_array_is_evaluated_twice(self, monkeypatch, name):
+        calls = {"_horner_all": [], "_comp_horner_all": []}
+        for evaluator, seen in calls.items():
+
+            def counted(coeffs, z, original=getattr(numerics, evaluator), seen=seen):
+                seen.append(z)  # held, so no two live arrays share an id
+                return original(coeffs, z)
+
+            monkeypatch.setattr(numerics, evaluator, counted)
+        find_roots(self.POLYNOMIALS[name])
+        for evaluator, seen in calls.items():
+            assert seen, evaluator
+            repeats = sum(a is b for a, b in zip(seen, seen[1:]))
+            assert repeats == 0, f"{evaluator} evaluated the array it had just evaluated {repeats} times"
+            assert len({id(a) for a in seen}) == len(seen), evaluator
+
+
 class TestFindRoots:
     def test_quadratic_real(self):
         roots = find_roots(poly(-1, 0, 1))
