@@ -15,7 +15,7 @@ import time
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
 
 from spectral_ellipse import hull as hl
-from spectral_ellipse.cli import PipelineSettings, _at_least, run_verify
+from spectral_ellipse.cli import _at_least, run_verify
 from spectral_ellipse.ensembles import KINDS
 
 
@@ -32,7 +32,7 @@ def main() -> int:
     clean = True
     for kind in KINDS:
         for n in args.sizes:
-            records = run_verify(kind, n, args.trials, args.seed, PipelineSettings())
+            records = run_verify(kind, n, args.trials, args.seed)
             contained = sum(1 for r in records if r.verdict == hl.CONTAINED)
             mismatch = sum(1 for r in records if r.verdict == "MomentMismatch")
             nonconv = sum(1 for r in records if r.verdict == "NonConvergence")

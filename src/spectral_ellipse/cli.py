@@ -46,16 +46,15 @@ FAILURES = {
 }
 
 CSV_HEADER = "seed,n,q_abs,a,b,min_margin,sweep_min,verdict"
+SWEEP_K = 720  # directions of each trial's sweep; the moment tolerance is sp.DEFAULT_MOMENT_TOL
 
 
-@dataclass(frozen=True)
 class PipelineSettings:
-    """The pipeline's two settings, one value each and no command-line option
-    (a looser tolerance passes junk spectra); a class so that callers pass
-    them as one argument.  The slack is derived: `hl.containment_slack`."""
+    """Fieldless, and ignored by `run_trial`: kept only because
+    perfbench/workloads.py builds `cli.PipelineSettings()` in its class body
+    and passes it to `run_trial`."""
 
-    moment_tol: float = sp.DEFAULT_MOMENT_TOL
-    sweep_k: int = 720
+    __slots__ = ()
 
 
 def _scaled(z, e: int):
@@ -101,7 +100,7 @@ class Analysis:
         return _scaled(q, 2 * (self.exponent + self.traceless_exponent))
 
 
-def analyze(a, settings: PipelineSettings = PipelineSettings()) -> Analysis:
+def analyze(a) -> Analysis:
     """The pipeline, on A at unit scale: decompose; eigensolve the traceless
     part A0 at its own unit scale (no gamma cluster, no underflow of its norm)
     and center its eigenvalues on their mean; hull, normalize, ellipse centered
@@ -110,14 +109,14 @@ def analyze(a, settings: PipelineSettings = PipelineSettings()) -> Analysis:
     unit, e = mx.power_of_two_scale(a)
     d = mx.decompose(unit)
     a0, e0 = mx.power_of_two_scale(d.traceless_part)
-    mu = sp.eigenvalues(a0, settings.moment_tol)
+    mu = sp.eigenvalues(a0)
     delta = complex(math.fsum(a0.diagonal().real), math.fsum(a0.diagonal().imag)) / n
     spectrum = sp.Spectrum(tuple(v - delta for v in mu.values), mu.sum_residual, mu.q_residual)
     hull = hl.convex_hull(spectrum.values)
     if n < 2:
         return Analysis(d, spectrum, hull, e, e0, delta, None, None, None, None)
     ns = el.normalize_mu(spectrum.values)
-    shape = el.ellipse_from_normalized(ns, n)
+    shape = el.ellipse_from_normalized(ns)
     containment = hl.contains_ellipse(hull, shape, hl.containment_slack(spectrum.values))
     _, bound = el.trace_only_bound(d)
     return Analysis(d, spectrum, hull, e, e0, delta, ns, shape, containment, bound)
@@ -173,26 +172,26 @@ class TrialRecord:
         return csv_row(astuple(self))
 
 
-def run_trial(kind: str, n: int, trial_seed: int, settings: PipelineSettings) -> TrialRecord:
+def run_trial(kind: str, n: int, trial_seed: int, _settings=None) -> TrialRecord:
     """One verification trial: generate, analyze, and sweep the directional
-    oracle over the normalized spectrum.  MomentMismatch and NonConvergence
-    are recorded, not raised; n < 2 raises DimensionTooSmall before generate."""
+    oracle at SWEEP_K directions.  MomentMismatch and NonConvergence are
+    recorded, not raised; n < 2 raises DimensionTooSmall before generate."""
     if n < 2:
         raise el.DimensionTooSmall(f"a trial needs n >= 2, got {n}")
     a = generate(EnsembleSpec(kind=kind, n=n, seed=trial_seed))
     try:
-        an = analyze(a, settings)
+        an = analyze(a)
     except (MomentMismatch, NonConvergence) as exc:
         return TrialRecord(trial_seed, n, None, None, None, None, None, type(exc).__name__)
     ns, shape, containment = an.normalized, an.ellipse, an.containment
-    sweep = hl.sweep_margins(ns, el.axis_sums(ns), n, settings.sweep_k)
+    sweep = hl.sweep_margins(ns, SWEEP_K)
     lengths = (an.length(x) for x in (shape.semimajor, shape.semiminor, containment.min_margin, sweep.min()))
     return TrialRecord(trial_seed, n, an.square(ns.q_abs), *lengths, containment.verdict)
 
 
-def run_verify(kind: str, n: int, trials: int, seed: int, settings: PipelineSettings):
+def run_verify(kind: str, n: int, trials: int, seed: int):
     """Seeded campaign; trial t uses the derived seed counter_value(seed, t)."""
-    return [run_trial(kind, n, counter_value(seed, t), settings) for t in range(trials)]
+    return [run_trial(kind, n, counter_value(seed, t)) for t in range(trials)]
 
 
 def _summarize(records) -> str:
@@ -339,7 +338,7 @@ def _check_writable(*paths) -> None:
 
 def _cmd_analyze(args) -> int:
     _check_writable(args.json_path, args.svg_path)
-    an = analyze(load_matrix(args.path, args.format), PipelineSettings())
+    an = analyze(load_matrix(args.path, args.format))
     text = canonical_json(analysis_report(an))
     svg = render_svg(an) if args.svg_path else None
     if args.json_path:
@@ -352,7 +351,7 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_verify(args) -> int:
     _check_writable(args.csv_path)
-    records = run_verify(args.ensemble, args.n, args.trials, args.seed, PipelineSettings())
+    records = run_verify(args.ensemble, args.n, args.trials, args.seed)
     csv_text = CSV_HEADER + "\n" + "".join(r.csv() + "\n" for r in records)
     if args.csv_path:
         _save(args.csv_path, csv_text)

@@ -27,10 +27,6 @@ class DimensionTooSmall(ValueError):
     """Ellipse construction needs n >= 2; the 1/(n-1) factor vanishes below."""
 
 
-class ZeroDirection(ValueError):
-    """A direction must be a nonzero complex number."""
-
-
 @dataclass(frozen=True)
 class NormalizedSpectrum:
     """Traceless eigenvalues rotated so the second power sum is |q0|."""
@@ -93,8 +89,9 @@ def _canonical_dir(d: complex) -> complex:
     return d
 
 
-def ellipse_from_normalized(ns: NormalizedSpectrum, n: int) -> SpectralEllipse:
-    """Build the ellipse for an already normalized spectrum of order n."""
+def ellipse_from_normalized(ns: NormalizedSpectrum) -> SpectralEllipse:
+    """Build the ellipse of an already normalized spectrum of n = len(ns.mu) values."""
+    n = len(ns.mu)
     if n < 2:
         raise DimensionTooSmall(f"ellipse needs dimension >= 2, got {n}")
     r, i_ = axis_sums(ns)
@@ -117,15 +114,13 @@ def ellipse_from_normalized(ns: NormalizedSpectrum, n: int) -> SpectralEllipse:
     )
 
 
-def shifted_ellipse(d: Decomposition, spec: Spectrum) -> SpectralEllipse:
-    """Ellipse of A centered at 0 (add d.gamma to place it), from the spectrum of d.traceless_part."""
-    return ellipse_from_normalized(normalize_mu(spec.values), d.n)
+def shifted_ellipse(spec: Spectrum) -> SpectralEllipse:
+    """Ellipse of A centered at 0 (add gamma to place it), from the spectrum of its traceless part."""
+    return ellipse_from_normalized(normalize_mu(spec.values))
 
 
 def support(e: SpectralEllipse, u: complex) -> float:
-    """Support function max over the closed ellipse (centered at 0) of Re(conj(u) z)."""
-    if u == 0:
-        raise ZeroDirection("direction 0 has no support value")
+    """Support function max over the closed ellipse (centered at 0) of Re(conj(u) z); 0 at u = 0."""
     along = (u.conjugate() * e.major_dir).real
     across = (u.conjugate() * (1j * e.major_dir)).real
     return math.hypot(e.semimajor * along, e.semiminor * across)

@@ -9,13 +9,14 @@ Containment compares support functions: a convex set lies inside a convex
 polygon iff its support is dominated on every outward edge normal.  Segment
 and point hulls take the same margins on fewer directions, plus a flatness
 condition on the ellipse, under one verdict rule (`contains_ellipse`).
-`directional_margin` is the independent second witness: it checks the
-directional inequality
+`directional_margin(ns, u)` is the independent second witness: it checks
+the directional inequality
 
     max_i(alpha*Re mu_i + beta*Im mu_i) >= sqrt(alpha^2 R^2 + beta^2 I^2) / (sqrt(2)(n-1))
 
-for a unit direction u = alpha + i*beta directly on the normalized
-spectrum, without constructing the ellipse.
+for a unit direction u = alpha + i*beta directly on the normalized spectrum
+(n = len(ns.mu), (R, I) = `ellipse.axis_sums(ns)`), without constructing the
+ellipse; `sweep_margins(ns, k)` checks it at k directions at once.
 """
 
 from __future__ import annotations
@@ -27,13 +28,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .ellipse import (
-    DimensionTooSmall,
-    NormalizedSpectrum,
-    SpectralEllipse,
-    ZeroDirection,
-    support,
-)
+from . import ellipse as el  # axis_sums is called as el.axis_sums, where a tracer can wrap it
+from .ellipse import DimensionTooSmall, NormalizedSpectrum, SpectralEllipse, support
 
 CONTAINED = "Contained"
 VIOLATED = "Violated"
@@ -166,34 +162,29 @@ def contains_ellipse(verts: tuple[complex, ...], e: SpectralEllipse, slack: floa
     return ContainmentReport(verdict=verdict, min_margin=margins[worst], worst_direction=dirs[worst])
 
 
-def directional_margin(ns: NormalizedSpectrum, ax: tuple[float, float], n: int, u: complex) -> float:
-    """Slack in the directional inequality for one direction, with ax = (R, I)
-    from `axis_sums`; it is >= 0 in every direction whenever the mu values
-    sum to zero, giving an ellipse-free containment witness."""
+def directional_margin(ns: NormalizedSpectrum, u: complex) -> float:
+    """Slack in the directional inequality at u (0 at u = 0): >= 0 in every direction
+    whenever the mu values sum to zero, an ellipse-free containment witness."""
+    n = len(ns.mu)
     if n < 2:
         raise DimensionTooSmall(f"directional margin needs n >= 2, got {n}")
-    if u == 0:
-        raise ZeroDirection("direction 0 has no margin")
-    if len(ns.mu) != n:
-        raise ValueError(f"expected {n} normalized values, got {len(ns.mu)}")
     best = max(u.real * v.real + u.imag * v.imag for v in ns.mu)
-    r, i_ = ax
+    r, i_ = el.axis_sums(ns)
     rhs = math.hypot(u.real * r, u.imag * i_) / (math.sqrt(2.0) * (n - 1))
     return best - rhs
 
 
-def sweep_margins(ns: NormalizedSpectrum, ax: tuple[float, float], n: int, k: int) -> np.ndarray:
+def sweep_margins(ns: NormalizedSpectrum, k: int) -> np.ndarray:
     """directional_margin at the k directions (cos(2 pi j / k), sin(2 pi j / k)), as an array."""
+    n = len(ns.mu)
     if k < 4:
         raise ValueError(f"sweep needs k >= 4 directions, got {k}")
     if n < 2:
         raise DimensionTooSmall(f"sweep needs n >= 2, got {n}")
-    if len(ns.mu) != n:
-        raise ValueError(f"expected {n} normalized values, got {len(ns.mu)}")
     theta = 2.0 * math.pi * np.arange(k) / k
     alpha, beta = np.cos(theta), np.sin(theta)
     mu = np.asarray(ns.mu, dtype=complex)
     best = np.max(np.outer(alpha, mu.real) + np.outer(beta, mu.imag), axis=1)
-    r, i_ = ax
+    r, i_ = el.axis_sums(ns)
     rhs = np.hypot(alpha * r, beta * i_) / (math.sqrt(2.0) * (n - 1))
     return best - rhs

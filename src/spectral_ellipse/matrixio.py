@@ -294,7 +294,7 @@ def parse_json_matrix(text: str) -> np.ndarray:
 
 
 def load_matrix(path: str, fmt: str | None = None) -> np.ndarray:
-    """Read a matrix file; format inferred from the extension unless given."""
+    """Read a UTF-8 matrix file; format inferred from the extension unless given."""
     if fmt is None:
         ext = os.path.splitext(path)[1].lower()
         if ext == ".mtx":
@@ -310,6 +310,6 @@ def load_matrix(path: str, fmt: str | None = None) -> np.ndarray:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path!r}: {exc}") from exc
     return parse_mtx(text) if fmt == "mtx" else parse_json_matrix(text)

@@ -82,7 +82,7 @@ def run_campaign_trial(kind: str, n: int, seed: int) -> Trial:
     q_exponent = 2 * an.exponent  # a q value of A scales by 4^exponent
     center = an.point(0j)
     values = [an.point(v) for v in an.spectrum.values]
-    sweep = hl.sweep_margins(ns, el.axis_sums(ns), n, SWEEP_K)
+    sweep = hl.sweep_margins(ns, SWEEP_K)
     return Trial(
         kind=kind,
         n=n,

@@ -1,6 +1,6 @@
 import argparse
 import contextlib
-import dataclasses
+import functools
 import io
 import json
 import math
@@ -711,7 +711,7 @@ class TestAnalyze:
         from spectral_ellipse.hull import contains_ellipse, convex_hull
 
         ideal = contains_ellipse(
-            convex_hull((-1, -1, 2)), ellipse_from_normalized(normalize_mu((-1, -1, 2)), 3), 1e-11
+            convex_hull((-1, -1, 2)), ellipse_from_normalized(normalize_mu((-1, -1, 2))), 1e-11
         )
         assert abs(ideal.min_margin - (1 - math.sqrt(3) / 2)) < 1e-12
 
@@ -773,6 +773,22 @@ class TestExitCodes:
     def test_missing_file_is_1(self, tmp_path):
         assert cli.main(["analyze", str(tmp_path / "missing.json")]) == 1
 
+    @pytest.mark.parametrize("command", ["analyze", "bound"])
+    @pytest.mark.parametrize("name", ["utf16.json", "ff.mtx"])
+    def test_a_file_that_is_not_utf8_is_1(self, tmp_path, command, name):
+        # files are read as UTF-8; an undecodable one is a parse error, in a
+        # fresh process so that a traceback would reach stderr
+        data = {
+            "utf16.json": '{"n": 1, "entries": [[1, 0]]}'.encode("utf-16"),
+            "ff.mtx": b"%%MatrixMarket matrix array real general\n1 1\n\xff\n",
+        }[name]
+        (tmp_path / name).write_bytes(data)
+        proc = run_cli([command, str(tmp_path / name)])
+        assert proc.returncode == cli.EXIT_PARSE
+        assert proc.stdout == ""
+        assert proc.stderr.startswith(f"parse error: cannot read {str(tmp_path / name)!r}: ")
+        assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+
     def test_non_square_is_2(self, tmp_path):
         p = tmp_path / "rect.mtx"
         p.write_text("%%MatrixMarket matrix array real general\n2 3\n1\n2\n3\n4\n5\n6\n")
@@ -781,7 +797,7 @@ class TestExitCodes:
     def test_non_convergence_is_3(self, tmp_path, monkeypatch):
         path = diag13_file(tmp_path)
 
-        def explode(a, tol):
+        def explode(a, tol=None):
             raise NonConvergence("stuck", (1.0,))
 
         monkeypatch.setattr(cli.sp, "eigenvalues", explode)
@@ -791,7 +807,7 @@ class TestExitCodes:
         # finite eigenvalues whose squares leave the float range
         path = diag13_file(tmp_path)
         huge = cli.sp.Spectrum((-(2.0**600) + 0j, 2.0**600 + 0j), 0.0, 0.0)
-        monkeypatch.setattr(cli.sp, "eigenvalues", lambda a, tol: huge)
+        monkeypatch.setattr(cli.sp, "eigenvalues", lambda a, tol=None: huge)
         assert cli.main(["analyze", path]) == cli.EXIT_OVERFLOW
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("numeric overflow: ") and err.count("\n") == 1
@@ -800,7 +816,7 @@ class TestExitCodes:
         # only NonFinite reports a quantity beyond the float range
         path = diag13_file(tmp_path)
 
-        def explode(a, tol):
+        def explode(a, tol=None):
             raise OverflowError("not a float range error")
 
         monkeypatch.setattr(cli.sp, "eigenvalues", explode)
@@ -810,8 +826,7 @@ class TestExitCodes:
     def test_moment_mismatch_is_4(self, tmp_path, monkeypatch):
         # golden-ratio matrix has tiny but nonzero residuals; tol 0 rejects
         path = write_json_matrix(tmp_path / "g.json", [[0, 0], [1, 0], [1, 0], [1, 0]], 2)
-        strict = cli.PipelineSettings(moment_tol=0.0)
-        monkeypatch.setattr(cli, "PipelineSettings", lambda: strict)
+        monkeypatch.setattr(cli.sp, "eigenvalues", functools.partial(cli.sp.eigenvalues, tol=0.0))
         assert cli.main(["analyze", path]) == 4
 
     @pytest.mark.parametrize("cls", list(cli.FAILURES), ids=lambda cls: cls.__name__)
@@ -883,13 +898,12 @@ class TestExitCodes:
         }
         if code == cli.EXIT_NONCONVERGENCE:
 
-            def explode(a, tol):
+            def explode(a, tol=None):
                 raise NonConvergence("stuck", (1.0,))
 
             monkeypatch.setattr(cli.sp, "eigenvalues", explode)
         if code == cli.EXIT_MOMENT:
-            strict = cli.PipelineSettings(moment_tol=0.0)
-            monkeypatch.setattr(cli, "PipelineSettings", lambda: strict)
+            monkeypatch.setattr(cli.sp, "eigenvalues", functools.partial(cli.sp.eigenvalues, tol=0.0))
         assert cli.main([command] + [arg.format(**paths) for arg in args]) == code
         out, err = capsys.readouterr()
         assert out == ""
@@ -1000,8 +1014,7 @@ class TestVerify:
 
     def test_moment_mismatch_rows_recorded_and_skipped(self, tmp_path, capsys, monkeypatch):
         csv_path = tmp_path / "mm.csv"
-        strict = cli.PipelineSettings(moment_tol=0.0)
-        monkeypatch.setattr(cli, "PipelineSettings", lambda: strict)
+        monkeypatch.setattr(cli.sp, "eigenvalues", functools.partial(cli.sp.eigenvalues, tol=0.0))
         rc = cli.main(
             ["verify", "--ensemble", "Ginibre", "-n", "4", "--trials", "3",
              "--seed", "1", "--csv", str(csv_path)]
@@ -1059,14 +1072,14 @@ class TestVerify:
         # all contained at n = 16; the repeated eigenvalue is only resolvable
         # to the multiple-root noise radius there, so the flat reference
         # shape (b = 0) is asserted at a dimension the pipeline can resolve
-        records = cli.run_verify("RemarkExtremal", 16, 5, 3, cli.PipelineSettings())
+        records = cli.run_verify("RemarkExtremal", 16, 5, 3)
         assert all(r.verdict == "Contained" for r in records)
-        records4 = cli.run_verify("RemarkExtremal", 4, 5, 3, cli.PipelineSettings())
+        records4 = cli.run_verify("RemarkExtremal", 4, 5, 3)
         assert all(r.verdict == "Contained" for r in records4)
         assert all(r.semiminor <= 1e-3 for r in records4)
 
     def test_nilpotent_campaign_near_point_ellipses(self):
-        records = cli.run_verify("Nilpotent", 6, 10, 1, cli.PipelineSettings())
+        records = cli.run_verify("Nilpotent", 6, 10, 1)
         assert all(r.verdict == "Contained" for r in records)
         assert all(r.semimajor <= 1e-2 for r in records)
 
@@ -1074,14 +1087,14 @@ class TestVerify:
     @pytest.mark.parametrize("kind", KINDS)
     def test_trial_below_dimension_two_is_refused(self, kind, n):
         with pytest.raises(DimensionTooSmall, match=f"^a trial needs n >= 2, got {n}$"):
-            cli.run_trial(kind, n, 7, cli.PipelineSettings())
+            cli.run_trial(kind, n, 7)
         with pytest.raises(DimensionTooSmall):
-            cli.run_verify(kind, n, 2, 7, cli.PipelineSettings())
+            cli.run_verify(kind, n, 2, 7)
 
     def test_trial_seeds_derived_from_counter(self, tmp_path):
         from spectral_ellipse.ensembles import counter_value
 
-        records = cli.run_verify("Ginibre", 3, 3, 11, cli.PipelineSettings())
+        records = cli.run_verify("Ginibre", 3, 3, 11)
         assert [r.seed for r in records] == [counter_value(11, t) for t in range(3)]
 
     def test_violated_row_forces_nonzero_exit(self, tmp_path, monkeypatch):
@@ -1153,14 +1166,14 @@ class TestUsageErrors:
         assert out == "" and err.startswith("usage: spectral-ellipse ")
         assert f"error: unrecognized arguments: {flag}" in err and "Traceback" not in err
 
-    # the id is the command-line name this setting had before it became a
-    # PipelineSettings field with no option
-    @pytest.mark.parametrize("setting", ["moment_tol"], ids=["--tol"])
-    def test_zero_scale_setting_is_accepted(self, setting):
+    # the id is the command-line name the moment tolerance had before it
+    # became the constant sp.DEFAULT_MOMENT_TOL, with no option
+    @pytest.mark.parametrize("tol", [0.0], ids=["--tol"])
+    def test_zero_scale_setting_is_accepted(self, monkeypatch, tol):
         # with no moment tolerance the exact identity still passes
         # validation and is contained
-        settings = cli.PipelineSettings(**{setting: 0.0})
-        assert cli.analyze(np.eye(2, dtype=complex), settings).containment.verdict == "Contained"
+        monkeypatch.setattr(cli.sp, "eigenvalues", functools.partial(cli.sp.eigenvalues, tol=tol))
+        assert cli.analyze(np.eye(2, dtype=complex)).containment.verdict == "Contained"
 
     def test_derived_slack_of_the_identity_is_zero(self):
         # the slack is no setting: it is the rounding bound of the spectrum,
@@ -1168,7 +1181,16 @@ class TestUsageErrors:
         an = cli.analyze(np.eye(2, dtype=complex))
         assert cli.hl.containment_slack(an.spectrum.values) == 0.0
         assert an.containment.verdict == "Contained"
-        assert [f.name for f in dataclasses.fields(cli.PipelineSettings)] == ["moment_tol", "sweep_k"]
+
+    def test_pipeline_settings_hold_no_value(self):
+        # the class is only the argument perfbench passes to run_trial, which
+        # ignores it: it has no value to set, and passing it changes nothing
+        settings = cli.PipelineSettings()
+        assert [name for name in vars(cli.PipelineSettings) if not name.startswith("__")] == []
+        with pytest.raises(AttributeError):
+            settings.moment_tol = 0.0
+        for kind, n, seed in (("Ginibre", 4, 5), ("Nilpotent", 3, 2)):
+            assert cli.run_trial(kind, n, seed, settings) == cli.run_trial(kind, n, seed)
 
 
 def readme_usage_flags():

@@ -294,7 +294,7 @@ class TestReferenceSpectrum:
         previous = None
         for n in range(2, 33):
             ref = reference_spectrum(EnsembleSpec("RemarkExtremal", n, 0))
-            e = ellipse_from_normalized(normalize_mu(ref), n)
+            e = ellipse_from_normalized(normalize_mu(ref))
             want = math.sqrt(n / (2.0 * (n - 1)))
             assert e.semiminor <= 1e-9
             assert abs(e.semimajor - want) <= 1e-9

@@ -10,8 +10,6 @@ from hypothesis import strategies as st
 from spectral_ellipse.ellipse import (
     DimensionTooSmall,
     SpectralEllipse,
-    ZeroDirection,
-    axis_sums,
     ellipse_from_normalized,
     normalize_mu,
 )
@@ -137,7 +135,7 @@ def extreme_point_sets(draw):
 def point_ellipse():
     """The point ellipse of a double eigenvalue {z, z} in the traceless
     frame, where it sits at 0 and the hull is translated by -z."""
-    return ellipse_from_normalized(normalize_mu((0, 0)), 2)
+    return ellipse_from_normalized(normalize_mu((0, 0)))
 
 
 class TestConvexHull:
@@ -274,7 +272,7 @@ class TestCross:
 class TestContainsEllipse:
     def test_extremal_family_segment(self):
         h = convex_hull((-1, -1, 2))
-        e = ellipse_from_normalized(normalize_mu((-1, -1, 2)), 3)
+        e = ellipse_from_normalized(normalize_mu((-1, -1, 2)))
         rep = contains_ellipse(h, e, 1e-11)
         assert rep.verdict == CONTAINED
         # worst margin 1 - sqrt(3)/2 at the left end, pointing down the axis
@@ -283,7 +281,7 @@ class TestContainsEllipse:
 
     def test_square_hull_circle(self):
         h = convex_hull((1, 1j, -1, -1j))
-        e = ellipse_from_normalized(normalize_mu((1, 1j, -1, -1j)), 4)
+        e = ellipse_from_normalized(normalize_mu((1, 1j, -1, -1j)))
         rep = contains_ellipse(h, e, 1e-11)
         assert rep.verdict == CONTAINED
         assert abs(rep.min_margin - (1 / math.sqrt(2) - 1 / 3)) < 1e-12
@@ -292,7 +290,7 @@ class TestContainsEllipse:
 
     def test_tight_two_point_case(self):
         h = convex_hull((1, -1))
-        e = ellipse_from_normalized(normalize_mu((1, -1)), 2)
+        e = ellipse_from_normalized(normalize_mu((1, -1)))
         rep = contains_ellipse(h, e, 1e-11)
         assert rep.verdict == CONTAINED
         assert abs(rep.min_margin) < 1e-13
@@ -314,19 +312,19 @@ class TestContainsEllipse:
 
     def test_point_hull_fat_ellipse_is_degenerate(self):
         h = convex_hull((0,))
-        e = ellipse_from_normalized(normalize_mu((1, -1)), 2)
+        e = ellipse_from_normalized(normalize_mu((1, -1)))
         rep = contains_ellipse(h, e, 1e-9)
         assert rep.verdict == DEGENERATE
 
     def test_segment_hull_fat_ellipse_is_degenerate(self):
         h = convex_hull((1, -1))
-        e = ellipse_from_normalized(normalize_mu((1, 1j, -1, -1j)), 4)  # circle radius 1/3
+        e = ellipse_from_normalized(normalize_mu((1, 1j, -1, -1j)))  # circle radius 1/3
         rep = contains_ellipse(h, e, 1e-9)
         assert rep.verdict == DEGENERATE
 
     def test_segment_hull_long_ellipse_is_violated(self):
         h = convex_hull((0.5, -0.5))
-        e = ellipse_from_normalized(normalize_mu((1, -1)), 2)  # segment [-1, 1]
+        e = ellipse_from_normalized(normalize_mu((1, -1)))  # segment [-1, 1]
         rep = contains_ellipse(h, e, 1e-9)
         assert rep.verdict == VIOLATED
 
@@ -362,7 +360,7 @@ class TestContainsEllipse:
 
     def test_polygon_too_small_is_violated(self):
         h = convex_hull((0.01, 0.01j, -0.01, -0.01j))
-        e = ellipse_from_normalized(normalize_mu((1, 1j, -1, -1j)), 4)
+        e = ellipse_from_normalized(normalize_mu((1, 1j, -1, -1j)))
         rep = contains_ellipse(h, e, 1e-9)
         assert rep.verdict == VIOLATED
         assert rep.min_margin < -0.3
@@ -370,36 +368,28 @@ class TestContainsEllipse:
 
 class TestDirectionalMargin:
     def test_tight_pair_along_axis(self):
-        ns = normalize_mu((1, -1))
-        ax = axis_sums(ns)
-        assert abs(directional_margin(ns, ax, 2, 1 + 0j)) < 1e-14
+        assert abs(directional_margin(normalize_mu((1, -1)), 1 + 0j)) < 1e-14
 
     def test_tight_pair_flat_direction(self):
-        ns = normalize_mu((1, -1))
-        ax = axis_sums(ns)
-        assert abs(directional_margin(ns, ax, 2, 1j)) < 1e-14
+        assert abs(directional_margin(normalize_mu((1, -1)), 1j)) < 1e-14
 
     def test_extremal_family(self):
-        ns = normalize_mu((-1, -1, 2))
-        ax = axis_sums(ns)
-        got = directional_margin(ns, ax, 3, 1 + 0j)
+        got = directional_margin(normalize_mu((-1, -1, 2)), 1 + 0j)
         assert abs(got - (2 - math.sqrt(3) / 2)) < 1e-14
 
     def test_zero_direction(self):
-        ns = normalize_mu((1, -1))
-        with pytest.raises(ZeroDirection):
-            directional_margin(ns, axis_sums(ns), 2, 0j)
+        # both sides of the inequality vanish at u = 0
+        assert directional_margin(normalize_mu((1, -1)), 0j) == 0.0
+        assert directional_margin(normalize_mu((-1, -1, 2)), 0) == 0.0
 
     def test_dimension(self):
-        ns = normalize_mu((0.0,))
-        with pytest.raises(DimensionTooSmall):
-            directional_margin(ns, axis_sums(ns), 1, 1 + 0j)
+        with pytest.raises(DimensionTooSmall, match="^directional margin needs n >= 2, got 1$"):
+            directional_margin(normalize_mu((0.0,)), 1 + 0j)
 
 
 class TestSweepMargins:
     def test_tight_pair_all_zero(self):
-        ns = normalize_mu((1, -1))
-        sw = sweep_margins(ns, axis_sums(ns), 2, 4)
+        sw = sweep_margins(normalize_mu((1, -1)), 4)
         assert len(sw) == 4
         assert min(sw) >= -1e-12
 
@@ -408,8 +398,7 @@ class TestSweepMargins:
         # real axis are exactly tight (both sides vanish), while the direction
         # facing the clustered eigenvalue keeps the 1 - sqrt(3)/2 hull margin
         # analogue 2 - sqrt(3)/2 here
-        ns = normalize_mu((-1, -1, 2))
-        sw = sweep_margins(ns, axis_sums(ns), 3, 360)
+        sw = sweep_margins(normalize_mu((-1, -1, 2)), 360)
         assert min(sw) >= -1e-15
         # direction facing the clustered eigenvalue: hull margin analogue
         assert abs(sw[180] - (1 - math.sqrt(3) / 2)) < 1e-13
@@ -419,21 +408,22 @@ class TestSweepMargins:
         lam = tuple(complex(a, b) for a, b in RNG.uniform(-1, 1, size=(5, 2)))
         lam = tuple(v - sum(lam) / 5 for v in lam)
         ns = normalize_mu(lam)
-        ax = axis_sums(ns)
-        sw = sweep_margins(ns, ax, 5, 16)
+        sw = sweep_margins(ns, 16)
         for j in range(16):
             theta = 2 * math.pi * j / 16
             d = complex(math.cos(theta), math.sin(theta))
-            assert abs(sw[j] - directional_margin(ns, ax, 5, d)) < 1e-13
+            assert abs(sw[j] - directional_margin(ns, d)) < 1e-13
 
     def test_shape_contract(self):
-        ns = normalize_mu((1, -1))
-        assert len(sweep_margins(ns, axis_sums(ns), 2, 7)) == 7
+        assert len(sweep_margins(normalize_mu((1, -1)), 7)) == 7
 
     def test_k_too_small(self):
-        ns = normalize_mu((1, -1))
         with pytest.raises(ValueError):
-            sweep_margins(ns, axis_sums(ns), 2, 3)
+            sweep_margins(normalize_mu((1, -1)), 3)
+
+    def test_dimension(self):
+        with pytest.raises(DimensionTooSmall, match="^sweep needs n >= 2, got 1$"):
+            sweep_margins(normalize_mu((0.0,)), 4)
 
 
 class TestWitnessAgreement:
@@ -446,13 +436,12 @@ class TestWitnessAgreement:
             a = as_matrix(g)
             s = eigenvalues(decompose(a).traceless_part)
             ns = normalize_mu(s.values)
-            ax = axis_sums(ns)
-            e = ellipse_from_normalized(ns, n)
+            e = ellipse_from_normalized(ns)
             h = convex_hull(s.values)
             # the derived slack bounds the rounding of both witnesses: the
             # sweep does the margin's arithmetic on the rotated values
             slack = containment_slack(s.values)
             rep = contains_ellipse(h, e, slack)
-            sweep_ok = min(sweep_margins(ns, ax, n, 180)) >= -slack
+            sweep_ok = min(sweep_margins(ns, 180)) >= -slack
             assert (rep.verdict == CONTAINED) == sweep_ok
             assert rep.verdict == CONTAINED

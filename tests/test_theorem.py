@@ -140,7 +140,7 @@ def test_a_slightly_wider_ellipse_fails_at_n_2(mu):
     # leaves the hull: exactly, and by more than the float slack
     sums, verts = power_sums([exact(v) for v in mu]), convex_hull(mu)
     assert not all(holds(2, sums, nu, anchor, WIDER) for nu, anchor in directions(verts))
-    e = ellipse_from_normalized(normalize_mu(mu), 2)
+    e = ellipse_from_normalized(normalize_mu(mu))
     wide = SpectralEllipse(e.semimajor * float(WIDER), e.semiminor, e.major_dir, e.foci)
     assert contains_ellipse(verts, wide, containment_slack(mu)).verdict == VIOLATED
 
@@ -151,7 +151,7 @@ def test_a_slightly_wider_ellipse_fails_at_n_2(mu):
 def test_float_margin_is_within_the_derived_slack_of_the_exact_one(mu):
     n, verts = len(mu), convex_hull(mu)
     slack = containment_slack(mu)
-    rep = contains_ellipse(verts, ellipse_from_normalized(normalize_mu(mu), n), slack)
+    rep = contains_ellipse(verts, ellipse_from_normalized(normalize_mu(mu)), slack)
     assert rep.verdict == CONTAINED
     assert abs(mp(rep.min_margin) - exact_margin(n, power_sums([exact(v) for v in mu]), verts)) <= slack
 
