@@ -290,7 +290,6 @@ def _build_parser() -> argparse.ArgumentParser:
     pa = sub.add_parser("analyze", help="full pipeline report for one matrix file")
     pa.set_defaults(run=_cmd_analyze)
     pa.add_argument("path")
-    pa.add_argument("--format", choices=("mtx", "json"), default=None)
     pa.add_argument("--json", dest="json_path", default=None, help="also write the report here")
     pa.add_argument("--svg", dest="svg_path", default=None, help="write an SVG plot here")
 
@@ -309,7 +308,6 @@ def _build_parser() -> argparse.ArgumentParser:
     pb = sub.add_parser("bound", help="trace-only spectral radius lower bound")
     pb.set_defaults(run=_cmd_bound)
     pb.add_argument("path")
-    pb.add_argument("--format", choices=("mtx", "json"), default=None)
     pb.add_argument("--json", dest="json_path", default=None)
 
     return parser
@@ -338,7 +336,7 @@ def _check_writable(*paths) -> None:
 
 def _cmd_analyze(args) -> int:
     _check_writable(args.json_path, args.svg_path)
-    an = analyze(load_matrix(args.path, args.format))
+    an = analyze(load_matrix(args.path))
     text = canonical_json(analysis_report(an))
     svg = render_svg(an) if args.svg_path else None
     if args.json_path:
@@ -369,7 +367,7 @@ def _cmd_tightness(args) -> int:
 
 def _cmd_bound(args) -> int:
     _check_writable(args.json_path)
-    text = canonical_json(bound_report(load_matrix(args.path, args.format)))
+    text = canonical_json(bound_report(load_matrix(args.path)))
     if args.json_path:
         _save(args.json_path, text)
     sys.stdout.write(text)

@@ -1,5 +1,8 @@
 """Matrix ingestion: Matrix Market (array/coordinate, real/complex, general)
-and dense JSON ({"n": ..., "entries": [[re, im], ...]} row-major).
+and dense JSON ({"n": ..., "entries": [[re, im], ...]} row-major).  The
+file names its format: Matrix Market text opens with its %%MatrixMarket
+banner (any case), which no JSON text can, so `load_matrix` reads a file
+that opens with it as Matrix Market and any other as JSON, whatever its name.
 
 Matrix Market text after the header, less its `%` comment lines, is one
 whitespace token stream for both layouts: the size line is its first two
@@ -24,7 +27,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import re
 from itertools import chain
 
@@ -293,23 +295,12 @@ def parse_json_matrix(text: str) -> np.ndarray:
     return as_matrix(np.array([_json_entry(idx, pair) for idx, pair in enumerate(entries)]).reshape(n, n))
 
 
-def load_matrix(path: str, fmt: str | None = None) -> np.ndarray:
-    """Read a UTF-8 matrix file; format inferred from the extension unless given."""
-    if fmt is None:
-        ext = os.path.splitext(path)[1].lower()
-        if ext == ".mtx":
-            fmt = "mtx"
-        elif ext == ".json":
-            fmt = "json"
-        else:
-            raise ParseError(
-                f"cannot infer format from {path!r}; pass --format mtx|json"
-            )
-    if fmt not in ("mtx", "json"):
-        raise ParseError(f"unknown format {fmt!r}")
+def load_matrix(path: str) -> np.ndarray:
+    """Read a UTF-8 matrix file: Matrix Market when it opens with the
+    %%MatrixMarket banner, else JSON."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path!r}: {exc}") from exc
-    return parse_mtx(text) if fmt == "mtx" else parse_json_matrix(text)
+    return parse_mtx(text) if text[:14].lower() == "%%matrixmarket" else parse_json_matrix(text)

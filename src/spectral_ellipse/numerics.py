@@ -178,10 +178,10 @@ def _sweep_phase(coeffs, z, budget, compensated):
         full_step = np.where(denom != 0, w / np.where(denom != 0, denom, 1.0), w)
 
         # damping: halve a root's step while its residual grows, up to 8 times.
-        # If halving never helps there are two cases: a root at its noise
-        # floor holds position (any move is noise), while a genuinely
-        # unconverged root takes the full step so the iteration can cross
-        # residual ridges instead of stalling behind them.
+        # A root at its noise floor is accepted before any halving and takes
+        # its full step (its residual is noise either way); a root that
+        # halving never helps takes the full step as well, so the iteration
+        # can cross residual ridges instead of stalling behind them.
         step = full_step.copy()
         cand = z - step
         accepted = at_floor.copy()
@@ -194,7 +194,7 @@ def _sweep_phase(coeffs, z, budget, compensated):
             step = np.where(accepted, step, step / 2.0)
             cand = z - step
         if not bool(np.all(accepted)):
-            cand = np.where(accepted, cand, np.where(at_floor, z, z - full_step))
+            cand = np.where(accepted, cand, z - full_step)
         z = cand
     return z, last
 
@@ -237,7 +237,7 @@ def find_roots(coeffs: np.ndarray) -> tuple[complex, ...]:
     z = radius * np.exp(1j * (2.0 * math.pi * k / deg + _GOLDEN_ANGLE * k))
 
     z, _ = _sweep_phase(coeffs, z, DEFAULT_MAX_ITER, compensated=False)
-    z, last = _sweep_phase(coeffs, z, min(_POLISH_BUDGET, DEFAULT_MAX_ITER), compensated=True)
+    z, last = _sweep_phase(coeffs, z, _POLISH_BUDGET, compensated=True)
 
     pz, dpz, bound = last[1] if last[0] is z else _comp_horner_all(coeffs, z)
     res = np.abs(pz)

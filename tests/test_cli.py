@@ -128,11 +128,62 @@ class TestJsonParsing:
         with pytest.raises(ParseError):
             load_matrix(str(p))
 
-    def test_load_matrix_format_override(self, tmp_path):
+    def test_txt_json_file_reads_as_json(self, tmp_path):
         p = tmp_path / "m.txt"
         p.write_text('{"n": 1, "entries": [[5, 0]]}')
-        a = load_matrix(str(p), fmt="json")
+        a = load_matrix(str(p))
         assert a[0, 0] == 5
+
+
+MTX_ARRAY = "%%MatrixMarket matrix array real general\n"
+MTX_COORDINATE = "%%MatrixMarket matrix coordinate real general\n"
+
+
+class TestReaderRefusals:
+    """Each ParseError the readers raise for a malformed file, word for word,
+    read through load_matrix from a file with no extension."""
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("%%MatrixMarket matrix array real\n1 1\n1\n", "malformed header: '%%MatrixMarket matrix array real'"),
+            ("%%MatrixMarket tensor array real general\n1 1\n1\n", "unsupported object 'tensor'"),
+            ("%%MatrixMarket matrix vector real general\n1 1\n1\n", "unsupported format 'vector'"),
+            ("%%MatrixMarket matrix array integer general\n1 1\n1\n", "unsupported field 'integer'"),
+            ("%%MatrixMarket matrix array real symmetric\n1 1\n1\n", "unsupported symmetry 'symmetric'"),
+            (MTX_ARRAY + "a b\n1\n", "bad size line"),
+            (MTX_ARRAY + "2\n", "bad size line"),
+            (MTX_ARRAY + "0 0\n", "bad dimensions 0 x 0"),
+            (MTX_COORDINATE + "2 2 -1\n", "bad size line 2 2 -1"),
+            (MTX_COORDINATE + "2 2 2\n1 1 1\n", "expected 6 entry tokens, got 3"),
+            ("[1]", 'JSON matrix needs keys "n" and "entries"'),
+            # with no banner a file is JSON, whatever it holds
+            ("1 1\n2", "invalid JSON: Extra data: line 1 column 3 (char 2)"),
+            ("", "invalid JSON: Expecting value: line 1 column 1 (char 0)"),
+            ("%MatrixMarket matrix array real general\n1 1\n1\n", "invalid JSON: Expecting value: line 1 column 1 (char 0)"),
+        ],
+        ids=[
+            "four-header-tokens", "object", "format", "field", "symmetry", "size-not-int", "size-one-token",
+            "zero-dimensions", "negative-nnz", "too-few-entries", "json-list", "headerless-mtx", "empty",
+            "one-percent-banner",
+        ],
+    )
+    def test_message(self, tmp_path, text, message):
+        path = tmp_path / "matrix"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ParseError) as exc:
+            load_matrix(str(path))
+        assert str(exc.value) == message
+
+    def test_banner_of_any_case_reads_as_matrix_market(self, tmp_path):
+        path = tmp_path / "matrix"
+        path.write_text("%%matrixmarket MATRIX Array REAL General\n1 1\n5\n", encoding="utf-8")
+        assert load_matrix(str(path))[0, 0] == 5
+
+    def test_missing_banner(self):
+        with pytest.raises(ParseError) as exc:
+            parse_mtx("")
+        assert str(exc.value) == "missing %%MatrixMarket header"
 
 
 def mtx_text(a, newline="\n"):
@@ -835,7 +886,7 @@ class TestExitCodes:
         extra = {NonConvergence: ((1.0,),), cli.MomentMismatch: (1.0, 1.0, 0.0)}
         exc = cls("injected fault", *extra.get(cls, ()))
 
-        def fail(path, fmt):
+        def fail(path):
             raise exc
 
         monkeypatch.setattr(cli, "load_matrix", fail)
@@ -1154,8 +1205,10 @@ class TestUsageErrors:
             (["analyze", "{path}", "--tol", "0"], "--tol 0"),
             (["analyze", "{path}", "--slack", "0"], "--slack 0"),
             (["verify", "--ensemble", "Ginibre", "-n", "3", "--sweep-k", "720"], "--sweep-k 720"),
+            (["analyze", "{path}", "--format", "json"], "--format json"),
+            (["bound", "{path}", "--format", "mtx"], "--format mtx"),
         ],
-        ids=["analyze-tol", "analyze-slack", "verify-sweep-k"],
+        ids=["analyze-tol", "analyze-slack", "verify-sweep-k", "analyze-format", "bound-format"],
     )
     def test_tuning_flags_are_not_accepted(self, tmp_path, capsys, argv, flag):
         path = diag13_file(tmp_path)
@@ -1170,10 +1223,16 @@ class TestUsageErrors:
     # became the constant sp.DEFAULT_MOMENT_TOL, with no option
     @pytest.mark.parametrize("tol", [0.0], ids=["--tol"])
     def test_zero_scale_setting_is_accepted(self, monkeypatch, tol):
-        # with no moment tolerance the exact identity still passes
-        # validation and is contained
+        # with no moment tolerance diag(1, -1, 0) still passes validation and
+        # is contained: its traceless part is not zero, so its residuals are
+        # compared with the tolerance, and its roots have exact power sums
+        limits, moment_tol = [], cli.sp.moment_tol
+        monkeypatch.setattr(cli.sp, "moment_tol", lambda a, t: limits.append(t) or moment_tol(a, t))
         monkeypatch.setattr(cli.sp, "eigenvalues", functools.partial(cli.sp.eigenvalues, tol=tol))
-        assert cli.analyze(np.eye(2, dtype=complex)).containment.verdict == "Contained"
+        an = cli.analyze(np.diag([1.0, -1.0, 0.0]).astype(complex))
+        assert limits == [tol]
+        assert an.spectrum.sum_residual == 0.0 and an.spectrum.q_residual == 0.0
+        assert an.containment.verdict == "Contained"
 
     def test_derived_slack_of_the_identity_is_zero(self):
         # the slack is no setting: it is the rounding bound of the spectrum,

@@ -13,6 +13,9 @@ once with numpy 2.4.6:
 A byte that moves is a change of behaviour to explain; the goldens are not
 re-recorded to make a refactor pass.
 
+Each input also reads from a copy with no extension and from standard
+input, and prints the same bytes.
+
 Inputs: a 1x1 and a 2x2 JSON matrix, a scrambled PrescribedSpectrum n=8
 matrix as `array` Matrix Market, the same matrix scaled by 2^-40 and by
 2^-1000 as JSON, and a `coordinate` file with a duplicate entry.  The
@@ -24,9 +27,11 @@ unscaled SVG.
 
 import json
 import os
+import shutil
 
 import mpmath
 import pytest
+from test_cli import run_cli
 from test_scale import scaled_report
 
 from spectral_ellipse import cli
@@ -75,6 +80,21 @@ def test_bound_stdout(name, capsys):
     assert rc == cli.EXIT_OK
     assert err == ""
     assert out == golden("bound", stem(name) + ".json")
+
+
+@pytest.mark.parametrize("command", ["analyze", "bound"])
+@pytest.mark.parametrize("name", INPUTS)
+def test_input_without_extension_or_through_stdin(name, command, tmp_path, capsys):
+    # the file names its own format: a copy with no extension, and the same
+    # bytes on standard input in a fresh process, print the golden report
+    copy = tmp_path / "matrix"
+    shutil.copyfile(os.path.join(GOLDEN, "inputs", name), copy)
+    expected = golden(command, stem(name) + ".json")
+    assert cli.main([command, str(copy)]) == cli.EXIT_OK
+    assert capsys.readouterr() == (expected, "")
+    with open(copy, "rb") as stdin:
+        proc = run_cli([command, "/dev/stdin"], stdin=stdin)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (cli.EXIT_OK, expected, "")
 
 
 @pytest.mark.parametrize("run", sorted(VERIFY_RUNS))
