@@ -40,7 +40,7 @@ class NormalizedSpectrum:
 class SpectralEllipse:
     """Closed ellipse of a traceless spectrum, centered at 0 (the reports add
     gamma): semiaxes a >= b, unit major-axis direction, foci +-c*major_dir
-    with c = sqrt(|q0|)/(sqrt(2)(n-1)).  Degenerate shapes (segment b=0,
+    with c = sqrt(|q0|)/(sqrt(2)(n-1)).  Flat shapes (segment b=0,
     point a=b=0) are first-class values."""
 
     semimajor: float

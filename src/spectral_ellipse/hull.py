@@ -7,8 +7,10 @@ chain over the distinct points, popping on the exact sign of a cross product
 
 Containment compares support functions: a convex set lies inside a convex
 polygon iff its support is dominated on every outward edge normal.  Segment
-and point hulls take the same margins on fewer directions, plus a flatness
-condition on the ellipse, under one verdict rule (`contains_ellipse`).
+and point hulls take the same margins on fewer directions, and a segment
+also asks that the ellipse stay on its line.  One rule gives one of two
+verdicts (`contains_ellipse`): the theorem puts the ellipse inside the hull,
+so it is Contained up to rounding, or the run failed and it is Violated.
 `directional_margin(ns, u)` is the independent second witness: it checks
 the directional inequality
 
@@ -33,7 +35,6 @@ from .ellipse import DimensionTooSmall, NormalizedSpectrum, SpectralEllipse, sup
 
 CONTAINED = "Contained"
 VIOLATED = "Violated"
-DEGENERATE = "Degenerate"
 
 
 @dataclass(frozen=True)
@@ -120,26 +121,23 @@ def containment_slack(mu) -> float:
 
 def contains_ellipse(verts: tuple[complex, ...], e: SpectralEllipse, slack: float) -> ContainmentReport:
     """Certify that the ellipse lies inside the hull `verts` (as from
-    `convex_hull`), up to slack; with `containment_slack` as the slack, any
-    verdict but Contained says that the theorem fails beyond rounding.
+    `convex_hull`), up to slack; with `containment_slack` as the slack, a
+    Violated verdict says that the theorem fails beyond rounding.
 
-    Each hull shape gives outward unit directions u, the vertex v each is
-    anchored at, and whether the ellipse is flat enough for it: a polygon
-    its edge normals, each at the edge's start vertex (always flat); a
-    segment v0 -> v1 of direction s, -s at v0 and s at v1 (flat when the
-    ellipse leaves the segment's line by at most slack on either side); a
-    point the four cardinal directions (flat when the semimajor is at most
-    slack).  The margins are <u, v> - support(e, u), and the report keeps
-    the first minimum.  A segment that is not flat is Degenerate before its
-    margins are read.  Otherwise every margin >= -slack is Contained, and
-    else the verdict is Violated if flat and Degenerate if not: a fat
-    ellipse against a lower-dimensional hull is ill-posed, not a signed miss.
+    Each hull shape gives outward unit directions u and the vertex v each
+    is anchored at: a polygon its edge normals, each at the edge's start
+    vertex; a segment v0 -> v1 of direction s, -s at v0 and s at v1; a point
+    the four cardinal directions.  The margins are <u, v> - support(e, u),
+    and the report keeps the first minimum.  The one rule: Contained if the
+    ellipse is flat and every margin is >= -slack, else Violated.  Only a
+    segment can fail to be flat, when the ellipse leaves the segment's line
+    by more than slack on either side.
     """
-    m = len(verts)
+    m, flat = len(verts), True
     if m >= 3:
         edges = (_step(verts[k], verts[(k + 1) % m]) for k in range(m))
         dirs = [complex(d.imag, -d.real) / abs(d) for d in edges]
-        anchors, flat = verts, True
+        anchors = verts
     elif m == 2:
         v0, v1 = verts
         d = _step(v0, v1)
@@ -149,16 +147,11 @@ def contains_ellipse(verts: tuple[complex, ...], e: SpectralEllipse, slack: floa
     else:
         # written out: -1j would be complex(-0.0, -1.0)
         dirs = (complex(1.0, 0.0), complex(-1.0, 0.0), complex(0.0, 1.0), complex(0.0, -1.0))
-        anchors, flat = verts * 4, e.semimajor <= slack
+        anchors = verts * 4
 
     margins = [_dot(u, v) - support(e, u) for u, v in zip(dirs, anchors)]
     worst = min(range(len(margins)), key=margins.__getitem__)
-    if m == 2 and not flat:
-        verdict = DEGENERATE
-    elif margins[worst] >= -slack:
-        verdict = CONTAINED
-    else:
-        verdict = VIOLATED if flat else DEGENERATE
+    verdict = CONTAINED if flat and margins[worst] >= -slack else VIOLATED
     return ContainmentReport(verdict=verdict, min_margin=margins[worst], worst_direction=dirs[worst])
 
 

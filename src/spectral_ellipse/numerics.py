@@ -26,7 +26,7 @@ _MAX_HALVINGS = 8
 
 
 class NonConvergence(RuntimeError):
-    """Root iteration did not meet its residual targets within max_iter."""
+    """Root iteration did not meet its residual targets within its sweep budgets."""
 
     def __init__(self, message: str, residuals: tuple[float, ...]):
         super().__init__(message)
@@ -244,7 +244,8 @@ def find_roots(coeffs: np.ndarray) -> tuple[complex, ...]:
     floor = 4.0 * deg * deg * _EPS * _EPS * bound + np.abs(dpz) * (_EPS * np.abs(z))
     if not bool(np.all((res <= limit) | (res <= floor))):
         raise NonConvergence(
-            f"residuals not below {limit:.3e} after {DEFAULT_MAX_ITER} iterations "
+            f"residuals not below {limit:.3e} after up to {DEFAULT_MAX_ITER} plain and "
+            f"{_POLISH_BUDGET} polishing sweeps "
             f"(worst {float(res.max()):.3e})",
             tuple(float(r) for r in res),
         )

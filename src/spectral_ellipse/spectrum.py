@@ -60,7 +60,7 @@ def moment_tol(a: np.ndarray, tol: float = DEFAULT_MOMENT_TOL) -> float:
         return tol * f * f
 
 
-def eigenvalues(a: np.ndarray, tol: float = DEFAULT_MOMENT_TOL) -> Spectrum:
+def eigenvalues(a: np.ndarray) -> Spectrum:
     """All eigenvalues of a, counted by multiplicity, sorted by (re, im).
 
     The matrix is divided by ||A||_F / sqrt(n) (np.linalg.norm) before the
@@ -71,7 +71,7 @@ def eigenvalues(a: np.ndarray, tol: float = DEFAULT_MOMENT_TOL) -> Spectrum:
     can overflow or underflow; far from unit scale the result may be
     NonFinite.  The zero matrix gets its exact spectrum of n zeros without
     a solve.  Raises MomentMismatch when the power sums disagree with tr A
-    or tr(A^2) beyond moment_tol(a, tol), NonFinite when an eigenvalue or a
+    or tr(A^2) beyond moment_tol(a), NonFinite when an eigenvalue or a
     moment residual leaves the float range, and propagates NonConvergence
     from the root finder.
     """
@@ -89,7 +89,7 @@ def eigenvalues(a: np.ndarray, tol: float = DEFAULT_MOMENT_TOL) -> Spectrum:
         roots = find_roots(matrix.char_poly(a / scale))
     lams = tuple(sorted((scale * r for r in roots), key=lambda z: (z.real, z.imag)))
 
-    limit = moment_tol(a, tol)
+    limit = moment_tol(a)
     try:
         sum_residual = abs(moment(lams, 1) - complex(np.trace(a)))
         q_residual = abs(moment(lams, 2) - matrix.q_form(a))

@@ -1,6 +1,5 @@
 import argparse
 import contextlib
-import functools
 import io
 import json
 import math
@@ -848,7 +847,7 @@ class TestExitCodes:
     def test_non_convergence_is_3(self, tmp_path, monkeypatch):
         path = diag13_file(tmp_path)
 
-        def explode(a, tol=None):
+        def explode(a):
             raise NonConvergence("stuck", (1.0,))
 
         monkeypatch.setattr(cli.sp, "eigenvalues", explode)
@@ -858,7 +857,7 @@ class TestExitCodes:
         # finite eigenvalues whose squares leave the float range
         path = diag13_file(tmp_path)
         huge = cli.sp.Spectrum((-(2.0**600) + 0j, 2.0**600 + 0j), 0.0, 0.0)
-        monkeypatch.setattr(cli.sp, "eigenvalues", lambda a, tol=None: huge)
+        monkeypatch.setattr(cli.sp, "eigenvalues", lambda a: huge)
         assert cli.main(["analyze", path]) == cli.EXIT_OVERFLOW
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("numeric overflow: ") and err.count("\n") == 1
@@ -867,7 +866,7 @@ class TestExitCodes:
         # only NonFinite reports a quantity beyond the float range
         path = diag13_file(tmp_path)
 
-        def explode(a, tol=None):
+        def explode(a):
             raise OverflowError("not a float range error")
 
         monkeypatch.setattr(cli.sp, "eigenvalues", explode)
@@ -875,9 +874,9 @@ class TestExitCodes:
             cli.main(["analyze", path])
 
     def test_moment_mismatch_is_4(self, tmp_path, monkeypatch):
-        # golden-ratio matrix has tiny but nonzero residuals; tol 0 rejects
+        # golden-ratio matrix has tiny but nonzero residuals; a limit of 0 rejects
         path = write_json_matrix(tmp_path / "g.json", [[0, 0], [1, 0], [1, 0], [1, 0]], 2)
-        monkeypatch.setattr(cli.sp, "eigenvalues", functools.partial(cli.sp.eigenvalues, tol=0.0))
+        monkeypatch.setattr(cli.sp, "moment_tol", lambda a: 0.0)
         assert cli.main(["analyze", path]) == 4
 
     @pytest.mark.parametrize("cls", list(cli.FAILURES), ids=lambda cls: cls.__name__)
@@ -949,12 +948,12 @@ class TestExitCodes:
         }
         if code == cli.EXIT_NONCONVERGENCE:
 
-            def explode(a, tol=None):
+            def explode(a):
                 raise NonConvergence("stuck", (1.0,))
 
             monkeypatch.setattr(cli.sp, "eigenvalues", explode)
         if code == cli.EXIT_MOMENT:
-            monkeypatch.setattr(cli.sp, "eigenvalues", functools.partial(cli.sp.eigenvalues, tol=0.0))
+            monkeypatch.setattr(cli.sp, "moment_tol", lambda a: 0.0)
         assert cli.main([command] + [arg.format(**paths) for arg in args]) == code
         out, err = capsys.readouterr()
         assert out == ""
@@ -1065,7 +1064,7 @@ class TestVerify:
 
     def test_moment_mismatch_rows_recorded_and_skipped(self, tmp_path, capsys, monkeypatch):
         csv_path = tmp_path / "mm.csv"
-        monkeypatch.setattr(cli.sp, "eigenvalues", functools.partial(cli.sp.eigenvalues, tol=0.0))
+        monkeypatch.setattr(cli.sp, "moment_tol", lambda a: 0.0)
         rc = cli.main(
             ["verify", "--ensemble", "Ginibre", "-n", "4", "--trials", "3",
              "--seed", "1", "--csv", str(csv_path)]
@@ -1077,6 +1076,35 @@ class TestVerify:
         rows = csv_path.read_text().splitlines()[1:]
         assert all(row.endswith("MomentMismatch") for row in rows)
         assert all(row.split(",")[2] == "" for row in rows)
+
+    def test_fat_ellipse_over_a_segment_hull_is_violated_and_exits_7(self, tmp_path, capsys, monkeypatch):
+        # the second trial's hull is the segment [-1, 1] and its ellipse a
+        # circle of radius 1/2: inside the segment's ends, off its line
+        args = ["verify", "--ensemble", "Ginibre", "-n", "4", "--trials", "3", "--seed", "1", "--csv"]
+        assert cli.main(args + [str(tmp_path / "clean.csv")]) == 0
+        clean = (tmp_path / "clean.csv").read_text().splitlines()
+        capsys.readouterr()
+
+        convex_hull, ellipse_from_normalized = cli.hl.convex_hull, cli.el.ellipse_from_normalized
+        hulls, shapes = [], []
+
+        def segment_on_second_trial(points):
+            hulls.append(1)
+            return (-1 + 0j, 1 + 0j) if len(hulls) == 2 else convex_hull(points)
+
+        def circle_on_second_trial(ns):
+            shapes.append(1)
+            if len(shapes) == 2:
+                return cli.el.SpectralEllipse(semimajor=0.5, semiminor=0.5, major_dir=1 + 0j, foci=(0j, 0j))
+            return ellipse_from_normalized(ns)
+
+        monkeypatch.setattr(cli.hl, "convex_hull", segment_on_second_trial)
+        monkeypatch.setattr(cli.el, "ellipse_from_normalized", circle_on_second_trial)
+        assert cli.main(args + [str(tmp_path / "fat.csv")]) == cli.EXIT_VIOLATED
+        assert capsys.readouterr().out.startswith("2/3 contained, ")
+        rows = (tmp_path / "fat.csv").read_text().splitlines()
+        assert rows[2].endswith(",Violated")
+        assert rows[:2] + rows[3:] == clean[:2] + clean[3:]
 
     def test_non_convergence_rows_recorded_and_skipped(self, tmp_path, capsys, monkeypatch):
         args = ["verify", "--ensemble", "Ginibre", "-n", "4", "--trials", "3", "--seed", "42", "--csv"]
@@ -1226,9 +1254,8 @@ class TestUsageErrors:
         # with no moment tolerance diag(1, -1, 0) still passes validation and
         # is contained: its traceless part is not zero, so its residuals are
         # compared with the tolerance, and its roots have exact power sums
-        limits, moment_tol = [], cli.sp.moment_tol
-        monkeypatch.setattr(cli.sp, "moment_tol", lambda a, t: limits.append(t) or moment_tol(a, t))
-        monkeypatch.setattr(cli.sp, "eigenvalues", functools.partial(cli.sp.eigenvalues, tol=tol))
+        limits = []
+        monkeypatch.setattr(cli.sp, "moment_tol", lambda a: limits.append(tol) or tol)
         an = cli.analyze(np.diag([1.0, -1.0, 0.0]).astype(complex))
         assert limits == [tol]
         assert an.spectrum.sum_residual == 0.0 and an.spectrum.q_residual == 0.0

@@ -15,7 +15,6 @@ from spectral_ellipse.ellipse import (
 )
 from spectral_ellipse.hull import (
     CONTAINED,
-    DEGENERATE,
     VIOLATED,
     _cross,
     containment_slack,
@@ -310,17 +309,20 @@ class TestContainsEllipse:
         rep = contains_ellipse(h, e, 1e-9)
         assert rep.verdict == VIOLATED
 
-    def test_point_hull_fat_ellipse_is_degenerate(self):
+    def test_point_hull_fat_ellipse_is_violated(self):
         h = convex_hull((0,))
         e = ellipse_from_normalized(normalize_mu((1, -1)))
         rep = contains_ellipse(h, e, 1e-9)
-        assert rep.verdict == DEGENERATE
+        assert rep.verdict == VIOLATED
 
-    def test_segment_hull_fat_ellipse_is_degenerate(self):
+    def test_segment_hull_fat_ellipse_is_violated(self):
+        # the circle's margins along the segment are >= 0, but it leaves the
+        # segment's line by 1/3 on either side
         h = convex_hull((1, -1))
         e = ellipse_from_normalized(normalize_mu((1, 1j, -1, -1j)))  # circle radius 1/3
         rep = contains_ellipse(h, e, 1e-9)
-        assert rep.verdict == DEGENERATE
+        assert rep.verdict == VIOLATED
+        assert rep.min_margin >= 0.0
 
     def test_segment_hull_long_ellipse_is_violated(self):
         h = convex_hull((0.5, -0.5))
@@ -330,7 +332,8 @@ class TestContainsEllipse:
 
     def test_point_hull_reads_margins_before_flatness(self):
         # a diagonal segment ellipse of semimajor 1.2e-9 reaches 1.2e-9/sqrt(2)
-        # along each axis: inside the 1e-9 slack, though not flat within it
+        # along each axis: inside the 1e-9 slack, though its semimajor is not;
+        # a point hull reads only its margins
         h = convex_hull((0,))
         e = SpectralEllipse(semimajor=1.2e-9, semiminor=0.0, major_dir=cmath.exp(1j * math.pi / 4), foci=(0j, 0j))
         rep = contains_ellipse(h, e, 1e-9)
@@ -342,9 +345,9 @@ class TestContainsEllipse:
         e = SpectralEllipse(semimajor=1.0, semiminor=0.5, major_dir=1 + 0j, foci=(0j, 0j))
         triangle = convex_hull([1e308 + 1e308j, -1e308 - 1e308j, 1e308 - 1e308j])
         segment = convex_hull([1e308 + 1e308j, -1e308 - 1e308j])
-        for h, verdict in ((triangle, VIOLATED), (segment, DEGENERATE)):
+        for h in (triangle, segment):
             rep = contains_ellipse(h, e, 1e-8)
-            assert rep.verdict == verdict
+            assert rep.verdict == VIOLATED
             assert math.isfinite(rep.min_margin) and cmath.isfinite(rep.worst_direction)
         # the triangle's long edge runs through the ellipse's center
         rep = contains_ellipse(triangle, e, 1e-8)

@@ -198,6 +198,7 @@ class TestFindRoots:
             find_roots(poly(0, 0, 0, 1))
         assert len(info.value.residuals) == 3
         assert all(r > 0 for r in info.value.residuals)
+        assert "after up to 2 plain and 2 polishing sweeps" in str(info.value)
 
     def test_deterministic_and_sorted(self):
         p = poly(1.5 - 2j, 0.25, -3j, 1)
