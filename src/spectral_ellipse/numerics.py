@@ -3,8 +3,12 @@
 All routines are pure functions of their inputs and never admit NaN/Inf.
 The square-root branch fixed here (argument in (-pi/2, pi/2]) is the one
 convention every downstream phase computation relies on.  The root finder
-evaluates each iterate once: the damping step's evaluation of the candidate
-it accepts starts the next sweep.
+starts on Fujiwara's circle, which encloses every root (Fujiwara, Tohoku
+Math. J. 10, 1916) and exceeds the largest root's modulus by at most a
+factor 2n, so the first evaluation stays finite for long polynomials with
+large coefficients; the start radius sets the sweep count (Bini, Numer.
+Algorithms 13, 1996).  It evaluates each iterate once: the damping step's
+evaluation of the candidate it accepts starts the next sweep.
 """
 
 from __future__ import annotations
@@ -207,14 +211,18 @@ def find_roots(coeffs: np.ndarray) -> tuple[complex, ...]:
     damped simultaneous (Aberth-Ehrlich) iteration.
 
     The coefficients must be a 1-D array of degree >= 1 with a nonzero
-    leading coefficient (ValueError otherwise), all finite (NonFinite).  Two
-    phases share the same sweep: plain Horner arithmetic brings the iterates
-    in from the initial circle, then a compensated-evaluation endgame
-    polishes them below the plain noise floor so that multiple roots return
-    as tight clusters whose power sums match the coefficients.  Returns exactly
-    degree values sorted lexicographically by (re, im); multiple roots are
-    never merged.  Each returned r satisfies |p(r)| <= DEFAULT_ROOT_TOL*(1 +
-    max|c_k|) up to the compensated evaluation floor.
+    leading coefficient (ValueError otherwise), all finite (NonFinite).  The
+    iterates start on Fujiwara's circle of the monic coefficients, radius
+    2·max(|c_{n-1}|, |c_{n-2}|^(1/2), ..., |c_1|^(1/(n-1)), |c_0/2|^(1/n)),
+    which encloses every root; for p = z^n it has radius 0 and the roots
+    come back as n exact zeros.  Two phases share the same sweep: plain
+    Horner arithmetic brings the iterates in from that circle, then a
+    compensated-evaluation endgame polishes them below the plain noise floor
+    so that multiple roots return as tight clusters whose power sums match
+    the coefficients.  Returns exactly degree values sorted lexicographically
+    by (re, im); multiple roots are never merged.  Each returned r satisfies
+    |p(r)| <= DEFAULT_ROOT_TOL*(1 + max|c_k|) up to the compensated
+    evaluation floor.
     """
     coeffs = np.asarray(coeffs, dtype=complex)
     if coeffs.ndim != 1 or coeffs.size < 2:
@@ -232,8 +240,10 @@ def find_roots(coeffs: np.ndarray) -> tuple[complex, ...]:
         return (complex(-coeffs[0]),)
 
     limit = DEFAULT_ROOT_TOL * (1.0 + float(np.max(np.abs(coeffs))))
-    radius = 1.0 + float(np.max(np.abs(coeffs[:-1])))
     k = np.arange(deg)
+    mags = np.abs(coeffs[:-1])
+    mags[0] /= 2.0
+    radius = 2.0 * float(np.max(mags ** (1.0 / (deg - k))))
     z = radius * np.exp(1j * (2.0 * math.pi * k / deg + _GOLDEN_ANGLE * k))
 
     z, _ = _sweep_phase(coeffs, z, DEFAULT_MAX_ITER, compensated=False)

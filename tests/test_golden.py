@@ -11,7 +11,11 @@ once with numpy 2.4.6:
         > verify/qzero_n4_seed9.csv 2> verify/qzero_n4_seed9.stderr
 
 A byte that moves is a change of behaviour to explain; the goldens are not
-re-recorded to make a refactor pass.
+re-recorded to make a refactor pass.  The `analyze` reports of
+`prescribed_n8` (all three scales) and `coordinate_dup`, and both `verify`
+goldens, were last re-recorded when the root finder's start moved to
+Fujiwara's circle: a change of the root finder's iterates, not a refactor,
+which moved the last digits of some eigenvalues.
 
 Each input also reads from a copy with no extension and from standard
 input, and prints the same bytes.

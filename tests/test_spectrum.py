@@ -50,8 +50,9 @@ class TestEigenvalues:
         assert greedy_match_distance(s.values, (-1, 1)) < 1e-12
 
     def test_nilpotent_jordan_cluster(self):
-        # triple root of x^3: the cluster radius is limited by the root
-        # finder's residual target, (2e-13)^(1/3) ~ 6e-5, not by 1e-12
+        # triple root of x^3: every lower coefficient (a trace) is exactly 0,
+        # so the root finder's start circle has radius 0 and the values come
+        # back as three exact zeros
         s = eigenvalues(as_matrix([[0, 1, 0], [0, 0, 1], [0, 0, 0]]))
         assert len(s.values) == 3
         assert max(abs(v) for v in s.values) < 1e-4
