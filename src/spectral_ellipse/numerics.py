@@ -1,4 +1,4 @@
-"""Complex scalar conventions and a damped Aberth-Ehrlich polynomial root finder.
+"""Complex scalar conventions and an Aberth-Ehrlich polynomial root finder.
 
 All routines are pure functions of their inputs and never admit NaN/Inf.
 The square-root branch fixed here (argument in (-pi/2, pi/2]) is the one
@@ -7,8 +7,9 @@ starts on Fujiwara's circle, which encloses every root (Fujiwara, Tohoku
 Math. J. 10, 1916) and exceeds the largest root's modulus by at most a
 factor 2n, so the first evaluation stays finite for long polynomials with
 large coefficients; the start radius sets the sweep count (Bini, Numer.
-Algorithms 13, 1996).  It evaluates each iterate once: the damping step's
-evaluation of the candidate it accepts starts the next sweep.
+Algorithms 13, 1996).  Each sweep evaluates its iterate once and moves
+every root by the full Aberth correction, and one sweep budget bounds both
+of its phases.
 """
 
 from __future__ import annotations
@@ -26,11 +27,10 @@ _GOLDEN_ANGLE = 2.0 * math.pi * (1.0 - 1.0 / ((1.0 + math.sqrt(5.0)) / 2.0))
 
 DEFAULT_ROOT_TOL = 1e-13
 DEFAULT_MAX_ITER = 200
-_MAX_HALVINGS = 8
 
 
 class NonConvergence(RuntimeError):
-    """Root iteration did not meet its residual targets within its sweep budgets."""
+    """Root iteration did not meet its residual targets within its sweep budget."""
 
     def __init__(self, message: str, residuals: tuple[float, ...]):
         super().__init__(message)
@@ -131,30 +131,27 @@ def _comp_horner_all(coeffs: np.ndarray, z: np.ndarray):
     return (br + er) + 1j * (bi + ei), dr + 1j * di, bound
 
 
-def _sweep_phase(coeffs, z, budget, compensated):
-    """Damped Aberth-Ehrlich sweeps with one evaluation flavor.
+def _sweep_phase(coeffs, z, compensated):
+    """Aberth-Ehrlich sweeps with one evaluation flavor, up to
+    DEFAULT_MAX_ITER of them.
 
     Runs until every residual sits at its evaluation/quantization noise
     floor and none is still making real progress; only that settled
     multiset reproduces the coefficients' power sums (the downstream
     moment checks) to rounding accuracy.
 
-    Each sweep evaluates its point once: when the damping loop's last
-    candidate becomes the next iterate, that candidate's evaluation starts
-    the next sweep.  Returns the final iterate and the latest
-    (point, evaluation) pair; `find_roots` reuses the evaluation for its
-    residual check when the pair's point is that iterate.
+    Each sweep evaluates its iterate once and moves every root by the full
+    Aberth correction.  Returns the final iterate and its evaluation when
+    the phase settled, or None when it ran out of sweeps.
     """
     deg = len(z)
     evaluate_all = _comp_horner_all if compensated else _horner_all
     eval_noise = (4.0 * deg * deg * _EPS * _EPS) if compensated else (8.0 * _EPS)
     off_diag = ~np.eye(deg, dtype=bool)
     best = np.full(deg, np.inf)
-    last = (None, None)
-    for _ in range(budget):
-        if last[0] is not z:
-            last = z, evaluate_all(coeffs, z)
-        pz, dpz, bound = last[1]
+    for _ in range(DEFAULT_MAX_ITER):
+        evaluation = evaluate_all(coeffs, z)
+        pz, dpz, bound = evaluation
         res = np.abs(pz)
         # a residual is "at the floor" when it cannot be certified smaller:
         # evaluation noise plus position quantization (moving z by one ulp
@@ -167,7 +164,7 @@ def _sweep_phase(coeffs, z, budget, compensated):
         progressing = bool(np.any((res < 0.5 * best) & ~at_floor))
         best = np.minimum(best, res)
         if bool(np.all(at_floor)) and not progressing:
-            break
+            return z, evaluation
 
         # Newton correction, with a deterministic nudge where p' vanishes
         safe_dpz = np.where(dpz != 0, dpz, 1.0)
@@ -179,36 +176,13 @@ def _sweep_phase(coeffs, z, budget, compensated):
         np.fill_diagonal(diff, 1.0)
         repulsion = np.sum(np.where(off_diag, 1.0 / diff, 0.0), axis=1)
         denom = 1.0 - w * repulsion
-        full_step = np.where(denom != 0, w / np.where(denom != 0, denom, 1.0), w)
-
-        # damping: halve a root's step while its residual grows, up to 8 times.
-        # A root at its noise floor is accepted before any halving and takes
-        # its full step (its residual is noise either way); a root that
-        # halving never helps takes the full step as well, so the iteration
-        # can cross residual ridges instead of stalling behind them.
-        step = full_step.copy()
-        cand = z - step
-        accepted = at_floor.copy()
-        for _ in range(_MAX_HALVINGS):
-            last = cand, evaluate_all(coeffs, cand)
-            res_cand = np.abs(last[1][0])
-            accepted |= res_cand <= res
-            if bool(np.all(accepted)):
-                break
-            step = np.where(accepted, step, step / 2.0)
-            cand = z - step
-        if not bool(np.all(accepted)):
-            cand = np.where(accepted, cand, z - full_step)
-        z = cand
-    return z, last
-
-
-_POLISH_BUDGET = 60
+        z = z - np.where(denom != 0, w / np.where(denom != 0, denom, 1.0), w)
+    return z, None
 
 
 def find_roots(coeffs: np.ndarray) -> tuple[complex, ...]:
     """All roots of the polynomial with ascending coefficients `coeffs`, by
-    damped simultaneous (Aberth-Ehrlich) iteration.
+    simultaneous (Aberth-Ehrlich) iteration.
 
     The coefficients must be a 1-D array of degree >= 1 with a nonzero
     leading coefficient (ValueError otherwise), all finite (NonFinite).  The
@@ -246,16 +220,16 @@ def find_roots(coeffs: np.ndarray) -> tuple[complex, ...]:
     radius = 2.0 * float(np.max(mags ** (1.0 / (deg - k))))
     z = radius * np.exp(1j * (2.0 * math.pi * k / deg + _GOLDEN_ANGLE * k))
 
-    z, _ = _sweep_phase(coeffs, z, DEFAULT_MAX_ITER, compensated=False)
-    z, last = _sweep_phase(coeffs, z, _POLISH_BUDGET, compensated=True)
+    z, _ = _sweep_phase(coeffs, z, compensated=False)
+    z, evaluation = _sweep_phase(coeffs, z, compensated=True)
 
-    pz, dpz, bound = last[1] if last[0] is z else _comp_horner_all(coeffs, z)
+    pz, dpz, bound = evaluation if evaluation is not None else _comp_horner_all(coeffs, z)
     res = np.abs(pz)
     floor = 4.0 * deg * deg * _EPS * _EPS * bound + np.abs(dpz) * (_EPS * np.abs(z))
     if not bool(np.all((res <= limit) | (res <= floor))):
         raise NonConvergence(
             f"residuals not below {limit:.3e} after up to {DEFAULT_MAX_ITER} plain and "
-            f"{_POLISH_BUDGET} polishing sweeps "
+            f"{DEFAULT_MAX_ITER} polishing sweeps "
             f"(worst {float(res.max()):.3e})",
             tuple(float(r) for r in res),
         )

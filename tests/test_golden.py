@@ -12,10 +12,13 @@ once with numpy 2.4.6:
 
 A byte that moves is a change of behaviour to explain; the goldens are not
 re-recorded to make a refactor pass.  The `analyze` reports of
-`prescribed_n8` (all three scales) and `coordinate_dup`, and both `verify`
-goldens, were last re-recorded when the root finder's start moved to
-Fujiwara's circle: a change of the root finder's iterates, not a refactor,
-which moved the last digits of some eigenvalues.
+`prescribed_n8` (all three scales) and `coordinate_dup`, and
+`verify/remarkextremal_n8_seed0`, were last re-recorded when the root
+finder's start moved to Fujiwara's circle.  `verify/qzero_n4_seed9.csv` was
+last re-recorded when the root finder dropped its step-halving damping and
+took the full Aberth correction on every sweep.  Both were changes of the
+root finder's iterates, not refactors, and moved only the last digits of
+some eigenvalues; every verdict stayed `Contained`.
 
 Each input also reads from a copy with no extension and from standard
 input, and prints the same bytes.

@@ -120,9 +120,10 @@ class TestEvaluate:
 
 
 class TestEvaluationCount:
-    """find_roots evaluates each iterate once per phase: the damping loop's
-    evaluation of the candidate that becomes the next iterate starts the next
-    sweep, and the final residual check reuses the polish phase's last one."""
+    """Each sweep of find_roots evaluates its iterate once and moves every
+    root by the full Aberth correction; the final residual check reuses the
+    polish phase's last evaluation when that phase settled, and evaluates
+    the iterate once more when it ran out of sweeps."""
 
     POLYNOMIALS = {
         "random-16": np.append(np.random.default_rng(23).uniform(-3, 3, size=(16, 2)) @ np.array([1, 1j]), 1.0),
@@ -146,6 +147,25 @@ class TestEvaluationCount:
             repeats = sum(a is b for a, b in zip(seen, seen[1:]))
             assert repeats == 0, f"{evaluator} evaluated the array it had just evaluated {repeats} times"
             assert len({id(a) for a in seen}) == len(seen), evaluator
+
+    @pytest.mark.parametrize("name", ["random-16", "remark-extremal"])
+    def test_unsettled_phases_evaluate_once_per_sweep(self, monkeypatch, name):
+        # neither phase settles in k sweeps, so each runs its whole budget of
+        # k sweeps and the residual check evaluates the last iterate once more
+        k = 3
+        monkeypatch.setattr(numerics, "DEFAULT_MAX_ITER", k)
+        counts = dict.fromkeys(("_horner_all", "_comp_horner_all"), 0)
+        for evaluator in counts:
+
+            def counted(coeffs, z, original=getattr(numerics, evaluator), evaluator=evaluator):
+                counts[evaluator] += 1
+                return original(coeffs, z)
+
+            monkeypatch.setattr(numerics, evaluator, counted)
+        with pytest.raises(NonConvergence):
+            find_roots(self.POLYNOMIALS[name])
+        assert counts == {"_horner_all": k, "_comp_horner_all": k + 1}
+        assert sum(counts.values()) <= 2 * k + 1
 
 
 class TestFindRoots:
@@ -195,7 +215,6 @@ class TestFindRoots:
         # two plain sweeps and two polishing sweeps leave (z + 1)^2 (z - 2),
         # with its double root at -1, far from converged
         monkeypatch.setattr(numerics, "DEFAULT_MAX_ITER", 2)
-        monkeypatch.setattr(numerics, "_POLISH_BUDGET", 2)
         with pytest.raises(NonConvergence) as info:
             find_roots(poly(-2, -3, 0, 1))
         assert len(info.value.residuals) == 3
@@ -325,18 +344,21 @@ class TestStartCircle:
             if i not in UNSETTLED_CLUSTERS:
                 assert power_sum_errors(p, found) <= 1e-12 * (1 + np.abs(p).max())
 
-    @pytest.mark.xfail(strict=True, reason="tight clusters of degree 21-24 do not settle")
     @pytest.mark.parametrize(
         "seed, index",
         [
             # polynomial 61 of the regression set: 21 roots within 9.3e-4 of
             # one center.  Near such a cluster |p| is below the residual limit
             # 1e-13 (1 + max|c_k|) over a disc of radius about 0.3, so the
-            # polish runs out of sweeps short of the compensated floor and
-            # find_roots accepts the iterates with their sum 2.7e-2 off -c_{n-1}
-            (2027, UNSETTLED_CLUSTERS[0]),
-            # 23 roots within 8.3e-4 of a center of modulus 3.6: NonConvergence
-            # after all 200 + 60 sweeps, one of 6 such clusters among 2,000
+            # polish runs out of its 200 sweeps short of the compensated floor
+            # and find_roots accepts the iterates with their sum 8e-4 off
+            # -c_{n-1}
+            pytest.param(
+                2027,
+                UNSETTLED_CLUSTERS[0],
+                marks=pytest.mark.xfail(strict=True, reason="tight clusters of degree 21-24 do not settle"),
+            ),
+            # 23 roots within 8.3e-4 of a center of modulus 3.6, from 2,000
             # polynomials drawn as in the regression set
             (20261020, 817),
         ],
