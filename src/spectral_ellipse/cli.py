@@ -207,38 +207,37 @@ def _summarize(records) -> str:
     return f"{contained}/{evaluated} contained, {skipped}worst margin {worst}"
 
 
+def _tightness_row(n: int) -> dict:
+    sqrt_q = math.sqrt(n * (n - 1))
+    semimajor = math.sqrt(n / (2.0 * (n - 1)))
+    return {
+        "n": n,
+        "sqrt_q": sqrt_q,
+        "semimajor": semimajor,
+        "hull": (-1.0, float(n - 1)),
+        "left_margin": 1.0 - semimajor,
+    }
+
+
 def tightness_rows(n_max: int):
     """Rows of the extremal-family table: spectrum of n-1 eigenvalues -1 and
     one eigenvalue n-1 has sqrt(Q) = sqrt(n(n-1)), hull [-1, n-1], and its
     ellipse degenerates to a segment of half-length sqrt(n/(2(n-1))) <= 1."""
     if n_max < 2:
         raise ValueError(f"table needs n_max >= 2, got {n_max}")
-    rows = []
-    for n in range(2, n_max + 1):
-        sqrt_q = math.sqrt(n * (n - 1))
-        semimajor = math.sqrt(n / (2.0 * (n - 1)))
-        rows.append(
-            {
-                "n": n,
-                "sqrt_q": sqrt_q,
-                "semimajor": semimajor,
-                "hull": (-1.0, float(n - 1)),
-                "left_margin": 1.0 - semimajor,
-            }
-        )
-    return rows
+    return [_tightness_row(n) for n in range(2, n_max + 1)]
 
 
-def _format_tightness_table(rows) -> str:
-    lines = [f"{'n':>4}  {'sqrt_Q':>22}  {'semimajor_a':>22}  {'hull':>16}  {'left_margin':>22}"]
+def _tightness_lines(rows):
+    """The table's text, one line at a time, so a long table is never held."""
+    yield f"{'n':>4}  {'sqrt_Q':>22}  {'semimajor_a':>22}  {'hull':>16}  {'left_margin':>22}\n"
     for r in rows:
         hull_txt = f"[-1, {int(r['hull'][1])}]"
-        lines.append(
+        yield (
             f"{r['n']:>4}  {fmt_float(r['sqrt_q']):>22}  {fmt_float(r['semimajor']):>22}  "
-            f"{hull_txt:>16}  {fmt_float(r['left_margin']):>22}"
+            f"{hull_txt:>16}  {fmt_float(r['left_margin']):>22}\n"
         )
-    lines.append(f"limit: semimajor -> 1/sqrt(2) = {fmt_float(1.0 / math.sqrt(2.0))}")
-    return "\n".join(lines) + "\n"
+    yield f"limit: semimajor -> 1/sqrt(2) = {fmt_float(1.0 / math.sqrt(2.0))}\n"
 
 
 def bound_report(a) -> dict:
@@ -361,7 +360,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_tightness(args) -> int:
-    sys.stdout.write(_format_tightness_table(tightness_rows(args.n_max)))
+    sys.stdout.writelines(_tightness_lines(map(_tightness_row, range(2, args.n_max + 1))))
     return EXIT_OK
 
 

@@ -8,8 +8,9 @@ Math. J. 10, 1916) and exceeds the largest root's modulus by at most a
 factor 2n, so the first evaluation stays finite for long polynomials with
 large coefficients; the start radius sets the sweep count (Bini, Numer.
 Algorithms 13, 1996).  Each sweep evaluates its iterate once and moves
-every root by the full Aberth correction, and one sweep budget bounds both
-of its phases.
+every root by the full Aberth correction; a phase stops once every residual
+is at its noise floor, and the residual check runs only on a polish that
+ran out of sweeps.
 """
 
 from __future__ import annotations
@@ -131,53 +132,47 @@ def _comp_horner_all(coeffs: np.ndarray, z: np.ndarray):
     return (br + er) + 1j * (bi + ei), dr + 1j * di, bound
 
 
+def _noise_floor(z, dpz, bound, compensated):
+    """The residual under which |p(z)| cannot be certified smaller:
+    evaluation noise plus position quantization (moving z by one ulp already
+    changes p by |p'| * eps * |z|)."""
+    eval_noise = (4.0 * len(z) * len(z) * _EPS * _EPS) if compensated else (8.0 * _EPS)
+    return eval_noise * bound + np.abs(dpz) * (_EPS * np.abs(z))
+
+
 def _sweep_phase(coeffs, z, compensated):
     """Aberth-Ehrlich sweeps with one evaluation flavor, up to
     DEFAULT_MAX_ITER of them.
 
-    Runs until every residual sits at its evaluation/quantization noise
-    floor and none is still making real progress; only that settled
-    multiset reproduces the coefficients' power sums (the downstream
-    moment checks) to rounding accuracy.
+    Stops as soon as every residual sits at its noise floor; only that
+    settled multiset reproduces the coefficients' power sums (the downstream
+    moment checks) to rounding accuracy.  The tol sleeve plays no part here:
+    near-zero coefficients can leave |p| under it across whole regions, and
+    stopping there would return junk positions whose power sums drift off
+    the coefficients.
 
     Each sweep evaluates its iterate once and moves every root by the full
-    Aberth correction.  Returns the final iterate and its evaluation when
-    the phase settled, or None when it ran out of sweeps.
+    Aberth correction.  Returns the final iterate and whether it settled.
     """
-    deg = len(z)
     evaluate_all = _comp_horner_all if compensated else _horner_all
-    eval_noise = (4.0 * deg * deg * _EPS * _EPS) if compensated else (8.0 * _EPS)
-    off_diag = ~np.eye(deg, dtype=bool)
-    best = np.full(deg, np.inf)
     for _ in range(DEFAULT_MAX_ITER):
-        evaluation = evaluate_all(coeffs, z)
-        pz, dpz, bound = evaluation
-        res = np.abs(pz)
-        # a residual is "at the floor" when it cannot be certified smaller:
-        # evaluation noise plus position quantization (moving z by one ulp
-        # already changes p by |p'| * eps * |z|).  The tol sleeve plays no
-        # part here: near-zero coefficients can leave |p| under it across
-        # whole regions, and stopping there would return junk positions
-        # whose power sums drift off the coefficients.
-        floor = eval_noise * bound + np.abs(dpz) * (_EPS * np.abs(z))
-        at_floor = res <= floor
-        progressing = bool(np.any((res < 0.5 * best) & ~at_floor))
-        best = np.minimum(best, res)
-        if bool(np.all(at_floor)) and not progressing:
-            return z, evaluation
+        pz, dpz, bound = evaluate_all(coeffs, z)
+        if bool(np.all(np.abs(pz) <= _noise_floor(z, dpz, bound, compensated))):
+            return z, True
 
         # Newton correction, with a deterministic nudge where p' vanishes
         safe_dpz = np.where(dpz != 0, dpz, 1.0)
         w = np.where(dpz != 0, pz / safe_dpz, (0.1 + 0.1j) * (1.0 + np.abs(z)))
         diff = z[:, None] - z[None, :]
-        collided = off_diag & (diff == 0)
-        if bool(np.any(collided)):
-            diff = np.where(collided, _EPS * (1.0 + np.abs(z))[:, None], diff)
-        np.fill_diagonal(diff, 1.0)
-        repulsion = np.sum(np.where(off_diag, 1.0 / diff, 0.0), axis=1)
+        np.fill_diagonal(diff, np.inf)  # 1/inf = 0: a root does not repel itself
+        collided = diff == 0
+        if bool(np.any(collided)):  # nudges of opposite sign below and above the diagonal split equal iterates
+            sign = 2.0 * np.tri(len(z)) - 1.0
+            diff = np.where(collided, sign * (_EPS * (1.0 + np.abs(z)))[:, None], diff)
+        repulsion = np.sum(1.0 / diff, axis=1)
         denom = 1.0 - w * repulsion
         z = z - np.where(denom != 0, w / np.where(denom != 0, denom, 1.0), w)
-    return z, None
+    return z, False
 
 
 def find_roots(coeffs: np.ndarray) -> tuple[complex, ...]:
@@ -193,10 +188,11 @@ def find_roots(coeffs: np.ndarray) -> tuple[complex, ...]:
     Horner arithmetic brings the iterates in from that circle, then a
     compensated-evaluation endgame polishes them below the plain noise floor
     so that multiple roots return as tight clusters whose power sums match
-    the coefficients.  Returns exactly degree values sorted lexicographically
-    by (re, im); multiple roots are never merged.  Each returned r satisfies
-    |p(r)| <= DEFAULT_ROOT_TOL*(1 + max|c_k|) up to the compensated
-    evaluation floor.
+    the coefficients.  Each phase stops once every residual is at its noise
+    floor.  Returns exactly degree values sorted lexicographically by
+    (re, im); multiple roots are never merged.  A polish that runs out of
+    sweeps must leave each r with |p(r)| <= DEFAULT_ROOT_TOL*(1 + max|c_k|)
+    or at the compensated floor, else NonConvergence.
     """
     coeffs = np.asarray(coeffs, dtype=complex)
     if coeffs.ndim != 1 or coeffs.size < 2:
@@ -213,7 +209,6 @@ def find_roots(coeffs: np.ndarray) -> tuple[complex, ...]:
     if deg == 1:
         return (complex(-coeffs[0]),)
 
-    limit = DEFAULT_ROOT_TOL * (1.0 + float(np.max(np.abs(coeffs))))
     k = np.arange(deg)
     mags = np.abs(coeffs[:-1])
     mags[0] /= 2.0
@@ -221,18 +216,18 @@ def find_roots(coeffs: np.ndarray) -> tuple[complex, ...]:
     z = radius * np.exp(1j * (2.0 * math.pi * k / deg + _GOLDEN_ANGLE * k))
 
     z, _ = _sweep_phase(coeffs, z, compensated=False)
-    z, evaluation = _sweep_phase(coeffs, z, compensated=True)
-
-    pz, dpz, bound = evaluation if evaluation is not None else _comp_horner_all(coeffs, z)
-    res = np.abs(pz)
-    floor = 4.0 * deg * deg * _EPS * _EPS * bound + np.abs(dpz) * (_EPS * np.abs(z))
-    if not bool(np.all((res <= limit) | (res <= floor))):
-        raise NonConvergence(
-            f"residuals not below {limit:.3e} after up to {DEFAULT_MAX_ITER} plain and "
-            f"{DEFAULT_MAX_ITER} polishing sweeps "
-            f"(worst {float(res.max()):.3e})",
-            tuple(float(r) for r in res),
-        )
+    z, settled = _sweep_phase(coeffs, z, compensated=True)
+    if not settled:
+        pz, dpz, bound = _comp_horner_all(coeffs, z)
+        res = np.abs(pz)
+        limit = DEFAULT_ROOT_TOL * (1.0 + float(np.max(np.abs(coeffs))))
+        if not bool(np.all((res <= limit) | (res <= _noise_floor(z, dpz, bound, True)))):
+            raise NonConvergence(
+                f"residuals not below {limit:.3e} after up to {DEFAULT_MAX_ITER} plain and "
+                f"{DEFAULT_MAX_ITER} polishing sweeps "
+                f"(worst {float(res.max()):.3e})",
+                tuple(float(r) for r in res),
+            )
 
     order = np.lexsort((z.imag, z.real))
     return tuple(complex(v) for v in z[order])

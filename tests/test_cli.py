@@ -1331,6 +1331,18 @@ class TestTightness:
         row10 = lines[9].split()
         assert abs(float(row10[2]) - math.sqrt(10 / 18)) < 1e-15
 
+    def test_long_table_is_written_as_it_is_computed(self):
+        # 100,000 rows are 9.6 MB of text and would take about 100 MB as
+        # dicts; written row by row, the peak stays near one line
+        tracemalloc.start()
+        try:
+            with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+                assert cli.main(["tightness", "100000"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
+
     def test_rows_api(self):
         rows = cli.tightness_rows(4)
         assert [r["n"] for r in rows] == [2, 3, 4]
