@@ -207,35 +207,18 @@ def _summarize(records) -> str:
     return f"{contained}/{evaluated} contained, {skipped}worst margin {worst}"
 
 
-def _tightness_row(n: int) -> dict:
-    sqrt_q = math.sqrt(n * (n - 1))
-    semimajor = math.sqrt(n / (2.0 * (n - 1)))
-    return {
-        "n": n,
-        "sqrt_q": sqrt_q,
-        "semimajor": semimajor,
-        "hull": (-1.0, float(n - 1)),
-        "left_margin": 1.0 - semimajor,
-    }
-
-
-def tightness_rows(n_max: int):
-    """Rows of the extremal-family table: spectrum of n-1 eigenvalues -1 and
-    one eigenvalue n-1 has sqrt(Q) = sqrt(n(n-1)), hull [-1, n-1], and its
+def _tightness_lines(n_max: int):
+    """The extremal-family table for n = 2..n_max, one line at a time, so a
+    long table is never held: the spectrum of n-1 eigenvalues -1 and one
+    eigenvalue n-1 has sqrt(Q) = sqrt(n(n-1)), hull [-1, n-1], and its
     ellipse degenerates to a segment of half-length sqrt(n/(2(n-1))) <= 1."""
-    if n_max < 2:
-        raise ValueError(f"table needs n_max >= 2, got {n_max}")
-    return [_tightness_row(n) for n in range(2, n_max + 1)]
-
-
-def _tightness_lines(rows):
-    """The table's text, one line at a time, so a long table is never held."""
     yield f"{'n':>4}  {'sqrt_Q':>22}  {'semimajor_a':>22}  {'hull':>16}  {'left_margin':>22}\n"
-    for r in rows:
-        hull_txt = f"[-1, {int(r['hull'][1])}]"
+    for n in range(2, n_max + 1):
+        semimajor = math.sqrt(n / (2.0 * (n - 1)))
+        hull = f"[-1, {n - 1}]"
         yield (
-            f"{r['n']:>4}  {fmt_float(r['sqrt_q']):>22}  {fmt_float(r['semimajor']):>22}  "
-            f"{hull_txt:>16}  {fmt_float(r['left_margin']):>22}\n"
+            f"{n:>4}  {fmt_float(math.sqrt(n * (n - 1))):>22}  {fmt_float(semimajor):>22}  "
+            f"{hull:>16}  {fmt_float(1.0 - semimajor):>22}\n"
         )
     yield f"limit: semimajor -> 1/sqrt(2) = {fmt_float(1.0 / math.sqrt(2.0))}\n"
 
@@ -360,7 +343,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_tightness(args) -> int:
-    sys.stdout.writelines(_tightness_lines(map(_tightness_row, range(2, args.n_max + 1))))
+    sys.stdout.writelines(_tightness_lines(args.n_max))
     return EXIT_OK
 
 

@@ -2,9 +2,11 @@
 
 Randomness comes from a counter-based generator: output i of stream `seed`
 is the SplitMix64 finalizer applied to seed + (i+1)*0x9E3779B97F4A7C15, a
-pure function of (seed, i) with no hidden state, so every generated matrix
-is reproducible bit-for-bit from its EnsembleSpec alone (golden test vectors
-live in the test suite).  Because no output depends on another, a run of
+pure function of (seed, i) with no hidden state (golden test vectors live
+in the test suite).  Ginibre and RealGaussian matrices follow bit-for-bit
+from their EnsembleSpec alone on any OpenBLAS kernel; the scrambled kinds
+do only on one machine, since `matrix.similarity`'s last bits follow that
+kernel.  Because no output depends on another, a run of
 consecutive outputs is computed at once over a uint64 index array (Salmon
 et al., "Parallel random numbers: as easy as 1, 2, 3", SC'11).  Gaussians
 come from Box-Muller on two consecutive draws; the sine partner is

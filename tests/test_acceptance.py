@@ -168,31 +168,44 @@ def test_criterion_2_two_by_two_tightness():
     assert not failures, failures[:10]
 
 
-def test_criterion_3_tightness_table():
-    rows = cli.tightness_rows(32)
+def test_criterion_3_tightness_table(capsys):
+    # the table as `tightness 32` prints it; its 17-significant-digit floats
+    # read back to the very doubles that were formatted
+    assert cli.main(["tightness", "32"]) == cli.EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split() == ["n", "sqrt_Q", "semimajor_a", "hull", "left_margin"]
+    rows = []
+    for line in lines[1:-1]:
+        n, sqrt_q, semimajor, lo, hi, left_margin = line.split()
+        rows.append((int(n), float(sqrt_q), float(semimajor), f"{lo} {hi}", float(left_margin)))
     failures = []
+    if [row[0] for row in rows] != list(range(2, 33)):
+        failures.append("rows are not n = 2..32")
     previous = None
-    for row in rows:
-        n = row["n"]
-        if row["sqrt_q"] != math.sqrt(n * (n - 1)):
+    for n, sqrt_q, semimajor, hull, _ in rows:
+        if sqrt_q != math.sqrt(n * (n - 1)):
             failures.append(f"n={n}: sqrt_q mismatch")
+        if hull != f"[-1, {n - 1}]":
+            failures.append(f"n={n}: hull {hull} is not [-1, n-1]")
         want_a = math.sqrt(n / (2.0 * (n - 1)))
-        if abs(row["semimajor"] - want_a) > 1e-12:
-            failures.append(f"n={n}: semimajor {row['semimajor']} != {want_a}")
-        if not row["semimajor"] <= 1.0:
+        if abs(semimajor - want_a) > 1e-12:
+            failures.append(f"n={n}: semimajor {semimajor} != {want_a}")
+        if not semimajor <= 1.0:
             failures.append(f"n={n}: semimajor exceeds 1")
-        if row["semimajor"] <= 1.0 / math.sqrt(2.0):
+        if semimajor <= 1.0 / math.sqrt(2.0):
             failures.append(f"n={n}: semimajor not above the 1/sqrt(2) limit")
         # exact limit identity a(n)^2 - 1/2 = 1/(2(n-1))
-        if abs(row["semimajor"] ** 2 - 0.5 - 1.0 / (2.0 * (n - 1))) > 1e-12:
+        if abs(semimajor ** 2 - 0.5 - 1.0 / (2.0 * (n - 1))) > 1e-12:
             failures.append(f"n={n}: limit identity off")
-        if previous is not None and not row["semimajor"] < previous:
+        if previous is not None and not semimajor < previous:
             failures.append(f"n={n}: not strictly decreasing")
-        previous = row["semimajor"]
-    if rows[0]["semimajor"] != 1.0 or rows[0]["left_margin"] != 0.0:
+        previous = semimajor
+    if rows[0][2] != 1.0 or rows[0][4] != 0.0:
         failures.append("n=2 row is not the tight case")
+    if float(lines[-1].removeprefix("limit: semimajor -> 1/sqrt(2) = ")) != 1.0 / math.sqrt(2.0):
+        failures.append(f"limit line is not 1/sqrt(2): {lines[-1]}")
     report(3, "extremal table", not failures, "n = 2..32, a down to "
-           f"{rows[-1]['semimajor']:.6f}")
+           f"{rows[-1][2]:.6f}")
     assert not failures, failures
 
 

@@ -1343,13 +1343,6 @@ class TestTightness:
             tracemalloc.stop()
         assert peak < 2_000_000
 
-    def test_rows_api(self):
-        rows = cli.tightness_rows(4)
-        assert [r["n"] for r in rows] == [2, 3, 4]
-        assert rows[0]["left_margin"] == 0
-        with pytest.raises(ValueError):
-            cli.tightness_rows(1)
-
 
 class TestBound:
     def test_diag13(self, tmp_path, capsys):

@@ -1,5 +1,10 @@
+import hashlib
 import math
+import os
+import platform
 import signal
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -20,6 +25,9 @@ from spectral_ellipse.ensembles import (
 )
 from spectral_ellipse.matrix import as_matrix, condition_estimate, q_form
 from spectral_ellipse.spectrum import eigenvalues
+
+TESTS = os.path.dirname(os.path.abspath(__file__))
+SRC = os.path.join(os.path.dirname(TESTS), "src")
 
 
 class ScalarRng:
@@ -224,6 +232,45 @@ class TestGenerate:
         # entries (g1 + i g2)/sqrt(2n): Frobenius norm concentrates near sqrt(n)
         a = generate(EnsembleSpec("Ginibre", 16, 21))
         assert 0.5 * 4 < np.linalg.norm(a) < 1.5 * 4
+
+
+def gaussian_digest() -> str:
+    """sha256 over the Ginibre and RealGaussian matrices of n in
+    {2, 3, 4, 8, 16, 32} and seeds 0-4, in that order."""
+    h = hashlib.sha256()
+    for kind in ("Ginibre", "RealGaussian"):
+        for n in (2, 3, 4, 8, 16, 32):
+            for seed in range(5):
+                h.update(generate(EnsembleSpec(kind, n, seed)).tobytes())
+    return h.hexdigest()
+
+
+# Each setting acts only on the child process that reads it.  Haswell and
+# SkylakeX kernels are left out: they fault on a CPU without AVX2 or AVX-512.
+CPU_SETTINGS = {
+    "openblas-prescott": {"OPENBLAS_CORETYPE": "Prescott"},
+    "openblas-nehalem": {"OPENBLAS_CORETYPE": "Nehalem"},
+    "numpy-dispatch-x86-v2": {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR X86_V3"},
+}
+
+
+@pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"), reason="x86_64 kernel names")
+@pytest.mark.parametrize("setting", sorted(CPU_SETTINGS))
+def test_gaussian_kinds_do_not_depend_on_the_cpu_kernel(setting):
+    # The unscrambled kinds are libm and elementwise numpy arithmetic only, so
+    # a child on another OpenBLAS kernel or numpy dispatch level draws the
+    # same bytes.  The scrambled kinds go through `matrix.similarity`, whose
+    # bits follow the kernel; whether they differ depends on this host's own.
+    env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES")}
+    env.update(CPU_SETTINGS[setting], PYTHONPATH=os.pathsep.join((SRC, TESTS)))
+    proc = subprocess.run(
+        [sys.executable, "-c", "from test_ensembles import gaussian_digest; print(gaussian_digest())"],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == gaussian_digest() + "\n"
 
 
 class TestReferenceSpectrum:

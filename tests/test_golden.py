@@ -1,4 +1,5 @@
-"""Golden bytes: the default output of `analyze`, `verify` and `bound`.
+"""Golden bytes: the default output of `analyze`, `verify`, `bound` and
+`tightness`.
 
 Acceptance criterion 8 compares two runs of the same code; these files pin
 the bytes across changes to the code.  Every expected file under
@@ -9,6 +10,16 @@ once with numpy 2.4.6:
     python -m spectral_ellipse bound inputs/n2.json > bound/n2.json
     python -m spectral_ellipse verify --ensemble QZero -n 4 --trials 6 --seed 9 \\
         > verify/qzero_n4_seed9.csv 2> verify/qzero_n4_seed9.stderr
+    python -m spectral_ellipse tightness 32 > tightness/n32.txt
+
+The files:
+
+    inputs/     n1.json n2.json prescribed_n8.mtx prescribed_n8_scaled.json
+                prescribed_n8_tiny.json coordinate_dup.mtx
+    analyze/    <input stem>.json and <input stem>.svg for each input
+    bound/      <input stem>.json for each input
+    verify/     qzero_n4_seed9.csv, .stderr; remarkextremal_n8_seed0.csv, .stderr
+    tightness/  n2.txt n32.txt (`tightness 2` and `tightness 32`)
 
 A byte that moves is a change of behaviour to explain; the goldens are not
 re-recorded to make a refactor pass.  The `analyze` reports of
@@ -19,6 +30,31 @@ last re-recorded when the root finder dropped its step-halving damping and
 took the full Aberth correction on every sweep.  Both were changes of the
 root finder's iterates, not refactors, and moved only the last digits of
 some eigenvalues; every verdict stayed `Contained`.
+
+Some of these bytes pin the recording host's OpenBLAS kernel.  They were
+recorded on x86_64 with AVX-512 (`numpy.show_runtime()` finds X86_V4,
+AVX512_ICL and AVX512_SPR), numpy 2.4.6 and OpenBLAS 0.3.31, whose
+DYNAMIC_ARCH build runs its SkylakeX kernels there.  `matrix.char_poly`
+multiplies with an OpenBLAS `zgemm`, and `generate` scrambles the
+`RemarkExtremal` and `QZero` matrices through `matrix.similarity`
+(`a @ t`, then `np.linalg.solve`).  So on another kernel:
+
+- the `analyze` JSON of `prescribed_n8`, `prescribed_n8_scaled`,
+  `prescribed_n8_tiny` and `coordinate_dup` moves in the 16th-17th digit of
+  its eigenvalues (and so fails twice each: on stdout, and again from the
+  extensionless copy or standard input);
+- both `verify` goldens move, since their input matrices do;
+- every SVG, the `n1` and `n2` `analyze` JSON, every `bound` report and
+  both `tightness` tables stay byte-identical.
+
+A simulated AVX2 host shows this.  Both variables act only on the process
+that reads them:
+
+    OPENBLAS_CORETYPE=Haswell NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR" \\
+        python -m pytest tests/test_golden.py tests/test_families.py
+
+fails those 10 golden tests, plus one families test whose bound was set on
+the recording host (`test_family_is_contained_under_i_and_conj[normal_on_line-0.0]`).
 
 Each input also reads from a copy with no extension and from standard
 input, and prints the same bytes.
@@ -58,6 +94,10 @@ VERIFY_RUNS = {
     "qzero_n4_seed9": ["--ensemble", "QZero", "-n", "4", "--trials", "6", "--seed", "9"],
     "remarkextremal_n8_seed0": ["--ensemble", "RemarkExtremal", "-n", "8", "--trials", "6", "--seed", "0"],
 }
+
+# the closed-form table of the extremal family: its shortest and the one
+# acceptance criterion 3 reads
+TIGHTNESS = (2, 32)
 
 
 def golden(*parts) -> str:
@@ -102,6 +142,13 @@ def test_input_without_extension_or_through_stdin(name, command, tmp_path, capsy
     with open(copy, "rb") as stdin:
         proc = run_cli([command, "/dev/stdin"], stdin=stdin)
     assert (proc.returncode, proc.stdout, proc.stderr) == (cli.EXIT_OK, expected, "")
+
+
+@pytest.mark.parametrize("n_max", TIGHTNESS)
+def test_tightness_table(n_max, capsys):
+    rc = cli.main(["tightness", str(n_max)])
+    assert rc == cli.EXIT_OK
+    assert capsys.readouterr() == (golden("tightness", f"n{n_max}.txt"), "")
 
 
 @pytest.mark.parametrize("run", sorted(VERIFY_RUNS))
