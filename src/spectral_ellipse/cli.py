@@ -11,6 +11,7 @@ if its CSV contains a Violated row.  argparse's usage error is also 2.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -259,7 +260,10 @@ def _at_least(minimum: int):
     return parse
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call and shared by every later one:
+    parse_args leaves it as it was."""
     parser = argparse.ArgumentParser(
         prog="spectral-ellipse",
         description=(
@@ -301,12 +305,16 @@ def _save(path: str, text: str) -> None:
 
 
 def _check_writable(*paths) -> None:
-    """OSError unless every path given (None: no file) can be saved: its
-    directory is a writable directory, and the path is neither a directory
-    nor an existing file that cannot be written.  A command calls it before
-    it reads or computes anything, so such a path fails the run before any
-    of its files is saved."""
-    for path in filter(None, paths):
+    """OSError unless every path given (None: no file) can be saved: it is
+    not empty, its directory is a writable directory, and the path is neither
+    a directory nor an existing file that cannot be written.  A command calls
+    it before it reads or computes anything, so such a path fails the run
+    before any of its files is saved."""
+    for path in paths:
+        if path is None:
+            continue
+        if not path:
+            raise OSError("an empty path names no file")
         folder = os.path.dirname(path) or "."
         if not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
             raise OSError(f"{path}: {folder} is not a writable directory")
@@ -320,8 +328,8 @@ def _cmd_analyze(args) -> int:
     _check_writable(args.json_path, args.svg_path)
     an = analyze(load_matrix(args.path))
     text = canonical_json(analysis_report(an))
-    svg = render_svg(an) if args.svg_path else None
-    if args.json_path:
+    svg = render_svg(an) if args.svg_path is not None else None
+    if args.json_path is not None:
         _save(args.json_path, text)
     if svg is not None:
         _save(args.svg_path, svg)
@@ -333,7 +341,7 @@ def _cmd_verify(args) -> int:
     _check_writable(args.csv_path)
     records = run_verify(args.ensemble, args.n, args.trials, args.seed)
     csv_text = CSV_HEADER + "\n" + "".join(r.csv() + "\n" for r in records)
-    if args.csv_path:
+    if args.csv_path is not None:
         _save(args.csv_path, csv_text)
         sys.stdout.write(_summarize(records) + "\n")
     else:
@@ -350,13 +358,15 @@ def _cmd_tightness(args) -> int:
 def _cmd_bound(args) -> int:
     _check_writable(args.json_path)
     text = canonical_json(bound_report(load_matrix(args.path)))
-    if args.json_path:
+    if args.json_path is not None:
         _save(args.json_path, text)
     sys.stdout.write(text)
     return EXIT_OK
 
 
 def main(argv=None) -> int:
+    """Run one command line (sys.argv[1:] when argv is None) on the parser
+    built once per process; return its exit code."""
     args = _build_parser().parse_args(argv)
     try:
         return args.run(args)

@@ -913,6 +913,28 @@ class TestExitCodes:
         assert not (tmp_path / "nodir").exists()
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", "{path}", "--json", ""],
+            ["analyze", "{path}", "--svg", ""],
+            ["bound", "{path}", "--json", ""],
+            ["verify", "--ensemble", "Ginibre", "-n", "3", "--csv", ""],
+        ],
+        ids=["analyze-json", "analyze-svg", "bound-json", "verify-csv"],
+    )
+    def test_an_empty_output_path_is_6_before_the_input_is_read(self, tmp_path, monkeypatch, capsys, argv):
+        def untouched(*args, **kwargs):
+            raise AssertionError("the input was read before the output path was checked")
+
+        monkeypatch.setattr(cli, "load_matrix", untouched)
+        monkeypatch.setattr(cli, "run_trial", untouched)
+        monkeypatch.chdir(tmp_path)
+        assert cli.main([arg.format(path=diag13_file(tmp_path)) for arg in argv]) == cli.EXIT_OUTPUT
+        out, err = capsys.readouterr()
+        assert out == "" and err == "cannot write: an empty path names no file\n"
+        assert os.listdir(tmp_path) == ["diag13.json"]
+
+    @pytest.mark.parametrize(
         "command, code, args",
         [
             ("analyze", cli.EXIT_PARSE, ["{bad}"]),
@@ -1277,6 +1299,69 @@ class TestUsageErrors:
             settings.moment_tol = 0.0
         for kind, n, seed in (("Ginibre", 4, 5), ("Nilpotent", 3, 2)):
             assert cli.run_trial(kind, n, seed, settings) == cli.run_trial(kind, n, seed)
+
+
+PARSER_REUSE_ARGVS = [
+    ["analyze", os.path.join(GOLDEN_INPUTS, "n2.json")],
+    ["bound", os.path.join(GOLDEN_INPUTS, "n2.json")],
+    ["tightness", "2"],
+    ["verify", "--ensemble", "Ginibre", "-n", "1"],
+    ["verify", "--ensemble", "Ginibre", "-n", "3", "--trials", "2"],
+    ["--help"],
+    ["analyze", os.path.join(GOLDEN_INPUTS, "n2.json")],
+]
+
+# counts the ArgumentParsers a process builds, by prog, from before the
+# package is imported
+PARSER_SPY = """
+import argparse, contextlib, io, sys
+built = []
+init = argparse.ArgumentParser.__init__
+def spy(self, *args, **kwargs):
+    init(self, *args, **kwargs)
+    built.append(self.prog)
+argparse.ArgumentParser.__init__ = spy
+from spectral_ellipse import cli
+print(len(built))
+for argv in ([], ["tightness", "3"], ["bound", sys.argv[1]], ["analyze", sys.argv[1]], ["tightness", "0"]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            cli.main(argv)
+        except SystemExit:
+            pass
+    print(len(built), built.count("spectral-ellipse"))
+"""
+
+
+class TestParserReuse:
+    """`cli.main` builds its parser once per process; every later call parses
+    on it and must act as the first call of a fresh process would."""
+
+    def test_calls_in_one_process_match_fresh_processes(self, monkeypatch, capsys):
+        # the help text wraps at the terminal width, which COLUMNS fixes in both
+        monkeypatch.setenv("COLUMNS", "80")
+        for argv in PARSER_REUSE_ARGVS:
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            out, err = capsys.readouterr()
+            fresh = run_cli(argv)
+            assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_one_parser_per_process_and_none_on_import(self):
+        env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        path = os.path.join(GOLDEN_INPUTS, "n2.json")
+        proc = subprocess.run(
+            [sys.executable, "-c", PARSER_SPY, path], capture_output=True, text=True, env=env, check=True
+        )
+        lines = proc.stdout.splitlines()
+        assert lines[0] == "0"
+        # the first call builds the parser and its four subcommand parsers;
+        # the usage errors, help and good calls after it build nothing
+        counts = {tuple(map(int, line.split())) for line in lines[1:]}
+        assert counts == {(5, 1)}
 
 
 def readme_usage_flags():
