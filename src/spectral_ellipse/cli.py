@@ -328,8 +328,8 @@ def _cmd_analyze(args) -> int:
     _check_writable(args.json_path, args.svg_path)
     an = analyze(load_matrix(args.path))
     text = canonical_json(analysis_report(an))
-    svg = render_svg(an) if args.svg_path is not None else None
-    if args.json_path is not None:
+    svg = render_svg(an) if args.svg_path else None
+    if args.json_path:
         _save(args.json_path, text)
     if svg is not None:
         _save(args.svg_path, svg)
@@ -341,7 +341,7 @@ def _cmd_verify(args) -> int:
     _check_writable(args.csv_path)
     records = run_verify(args.ensemble, args.n, args.trials, args.seed)
     csv_text = CSV_HEADER + "\n" + "".join(r.csv() + "\n" for r in records)
-    if args.csv_path is not None:
+    if args.csv_path:
         _save(args.csv_path, csv_text)
         sys.stdout.write(_summarize(records) + "\n")
     else:
@@ -358,7 +358,7 @@ def _cmd_tightness(args) -> int:
 def _cmd_bound(args) -> int:
     _check_writable(args.json_path)
     text = canonical_json(bound_report(load_matrix(args.path)))
-    if args.json_path is not None:
+    if args.json_path:
         _save(args.json_path, text)
     sys.stdout.write(text)
     return EXIT_OK

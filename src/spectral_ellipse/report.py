@@ -1,10 +1,8 @@
 """Deterministic serialization: canonical JSON with 17-significant-digit
-floats (lossless float64 round trips) and matching CSV formatting.
-`canonical_json` writes a report in one pass, dispatching on exact types."""
+floats (lossless float64 round trips) and matching CSV formatting."""
 
 from __future__ import annotations
 
-import functools
 import json
 
 SCHEMA = "spectral-ellipse/1"
@@ -19,25 +17,9 @@ def complex_obj(z: complex) -> dict:
     return {"re": z.real, "im": z.imag}
 
 
-@functools.lru_cache(maxsize=1024)
-def _key_text(key: str) -> str:
-    """'"key": ' for str(key) of a dict key.  The memo is keyed on that str,
-    not on the key: 1, True and 1.0 are one memo key but three texts."""
-    return json.dumps(key, ensure_ascii=False) + ": "
-
-
-def _emit(obj, pad: str, out: list[str]) -> None:
-    # exact float, dict, list and tuple first (a report is mostly these); any
-    # other value takes the isinstance rules, so np.float64 or an IntEnum
-    # prints as its float or int would
-    kind = type(obj)
-    if kind is float:
-        out.append(format(obj, ".17g"))
-    elif kind is dict:
-        _emit_dict(obj, pad, out)
-    elif kind is list or kind is tuple:
-        _emit_list(obj, pad, out)
-    elif obj is None:
+def _emit(obj, indent: int, out: list[str]) -> None:
+    pad = "  " * indent
+    if obj is None:
         out.append("null")
     elif isinstance(obj, bool):
         out.append("true" if obj else "false")
@@ -48,47 +30,35 @@ def _emit(obj, pad: str, out: list[str]) -> None:
     elif isinstance(obj, str):
         out.append(json.dumps(obj, ensure_ascii=False))
     elif isinstance(obj, (list, tuple)):
-        _emit_list(obj, pad, out)
+        if not obj:
+            out.append("[]")
+            return
+        out.append("[\n")
+        for i, item in enumerate(obj):
+            out.append(pad + "  ")
+            _emit(item, indent + 1, out)
+            out.append(",\n" if i + 1 < len(obj) else "\n")
+        out.append(pad + "]")
     elif isinstance(obj, dict):
-        _emit_dict(obj, pad, out)
+        if not obj:
+            out.append("{}")
+            return
+        out.append("{\n")
+        items = list(obj.items())
+        for i, (key, value) in enumerate(items):
+            out.append(pad + "  " + json.dumps(str(key), ensure_ascii=False) + ": ")
+            _emit(value, indent + 1, out)
+            out.append(",\n" if i + 1 < len(items) else "\n")
+        out.append(pad + "}")
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
-
-
-def _emit_list(obj, pad: str, out: list[str]) -> None:
-    if not obj:
-        out.append("[]")
-        return
-    inner = pad + "  "
-    sep = ",\n" + inner
-    out.append("[\n" + inner)
-    for i, item in enumerate(obj):
-        if i:
-            out.append(sep)
-        _emit(item, inner, out)
-    out.append("\n" + pad + "]")
-
-
-def _emit_dict(obj, pad: str, out: list[str]) -> None:
-    if not obj:
-        out.append("{}")
-        return
-    inner = pad + "  "
-    sep = ",\n" + inner
-    out.append("{\n" + inner)
-    for i, (key, value) in enumerate(obj.items()):
-        if i:
-            out.append(sep)
-        out.append(_key_text(str(key)))
-        _emit(value, inner, out)
-    out.append("\n" + pad + "}")
 
 
 def canonical_json(obj) -> str:
     """Render with stable key order (insertion order), 2-space indent, and
     '.17g' floats; byte-identical for equal inputs."""
     out: list[str] = []
-    _emit(obj, "", out)
+    _emit(obj, 0, out)
     out.append("\n")
     return "".join(out)
 

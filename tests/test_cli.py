@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import enum
 import io
 import json
 import math
@@ -711,6 +712,22 @@ class TestCanonicalJson:
         parsed = json.loads(canonical_json(obj))
         assert parsed["a"] == 1 / 3
         assert parsed["s"] == 'quote"backslash\\'
+
+    def test_equal_keys_of_other_types_keep_their_own_text(self):
+        for key in (1, True, 1.0, None, -0.0):
+            assert canonical_json({key: 0}) == '{\n  "%s": 0\n}\n' % key
+
+    def test_subclasses_print_as_their_base(self):
+        level = enum.IntEnum("Level", {"LOW": 1})
+        obj = {"f": np.float64(0.1), "i": level.LOW, "b": True, "n": None}
+        assert canonical_json(obj) == '{\n  "f": 0.10000000000000001,\n  "i": 1,\n  "b": true,\n  "n": null\n}\n'
+
+    @pytest.mark.parametrize("bad", [1j, {1, 2}, np.int64(3)], ids=["complex", "set", "np.int64"])
+    @pytest.mark.parametrize("where", ["top", "list", "dict"])
+    def test_unsupported_types_raise(self, bad, where):
+        obj = {"top": bad, "list": [0.5, bad], "dict": {"k": {"inner": bad}}}[where]
+        with pytest.raises(TypeError, match="cannot serialize"):
+            canonical_json(obj)
 
 
 class TestAnalyze:
