@@ -3,8 +3,9 @@
 
 Prints one row per (ensemble, n): trials contained, trials skipped for
 MomentMismatch and for NonConvergence, the worst hull margin and the worst
-sweep margin.  A clean run is one where every trial of every row is
-Contained; the script then exits 0, else 1.
+sweep margin (the directional margin at the cone directions of the hull).
+A clean run is one where every trial of every row is Contained; the script
+then exits 0, else 1.
 """
 
 import argparse

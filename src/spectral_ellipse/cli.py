@@ -47,7 +47,6 @@ FAILURES = {
 }
 
 CSV_HEADER = "seed,n,q_abs,a,b,min_margin,sweep_min,verdict"
-SWEEP_K = 720  # directions of each trial's sweep; the moment tolerance is sp.DEFAULT_MOMENT_TOL
 
 
 class PipelineSettings:
@@ -175,8 +174,9 @@ class TrialRecord:
 
 def run_trial(kind: str, n: int, trial_seed: int, _settings=None) -> TrialRecord:
     """One verification trial: generate, analyze, and sweep the directional
-    oracle at SWEEP_K directions.  MomentMismatch and NonConvergence are
-    recorded, not raised; n < 2 raises DimensionTooSmall before generate."""
+    oracle at the cone directions of the hull.  MomentMismatch and
+    NonConvergence are recorded, not raised; n < 2 raises DimensionTooSmall
+    before generate."""
     if n < 2:
         raise el.DimensionTooSmall(f"a trial needs n >= 2, got {n}")
     a = generate(EnsembleSpec(kind=kind, n=n, seed=trial_seed))
@@ -185,8 +185,8 @@ def run_trial(kind: str, n: int, trial_seed: int, _settings=None) -> TrialRecord
     except (MomentMismatch, NonConvergence) as exc:
         return TrialRecord(trial_seed, n, None, None, None, None, None, type(exc).__name__)
     ns, shape, containment = an.normalized, an.ellipse, an.containment
-    sweep = hl.sweep_margins(ns, SWEEP_K)
-    lengths = (an.length(x) for x in (shape.semimajor, shape.semiminor, containment.min_margin, sweep.min()))
+    sweep_min = min(hl.sweep_margins(ns))
+    lengths = (an.length(x) for x in (shape.semimajor, shape.semiminor, containment.min_margin, sweep_min))
     return TrialRecord(trial_seed, n, an.square(ns.q_abs), *lengths, containment.verdict)
 
 

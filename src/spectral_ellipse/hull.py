@@ -8,9 +8,9 @@ chain over the distinct points, popping on the exact sign of a cross product
 Containment compares support functions: a convex set lies inside a convex
 polygon iff its support is dominated on every outward edge normal.  Segment
 and point hulls take the same margins on fewer directions, and a segment
-also asks that the ellipse stay on its line.  One rule gives one of two
-verdicts (`contains_ellipse`): the theorem puts the ellipse inside the hull,
-so it is Contained up to rounding, or the run failed and it is Violated.
+also asks that the ellipse stay on its line (`_cone_directions`).  One rule
+gives one of two verdicts (`contains_ellipse`): the theorem puts the ellipse
+inside the hull, so it is Contained up to rounding, or Violated: the run failed.
 `directional_margin(ns, u)` is the independent second witness: it checks
 the directional inequality
 
@@ -18,7 +18,8 @@ the directional inequality
 
 for a unit direction u = alpha + i*beta directly on the normalized spectrum
 (n = len(ns.mu), (R, I) = `ellipse.axis_sums(ns)`), without constructing the
-ellipse; `sweep_margins(ns, k)` checks it at k directions at once.
+ellipse; `sweep_margins(ns)` checks it at the same directions for the hull
+of ns.mu, where its least value, if >= 0, is the least over all directions.
 """
 
 from __future__ import annotations
@@ -27,8 +28,6 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from . import ellipse as el  # axis_sums is called as el.axis_sums, where a tracer can wrap it
 from .ellipse import DimensionTooSmall, NormalizedSpectrum, SpectralEllipse, support
@@ -119,40 +118,47 @@ def containment_slack(mu) -> float:
     return 2.0 * abs(s) / n + (28.0 + 2.1 * math.sqrt(n)) * 2.0**-52 * m + min(4.0 * m, n * 2.0**-500)
 
 
+def _cone_directions(verts: tuple[complex, ...]) -> tuple[tuple[complex, ...], tuple[complex, ...]]:
+    """The outward unit directions that bound the normal cones of the hull
+    `verts` (as from `convex_hull`), each cone less than pi wide, and the
+    vertex each is anchored at: a polygon its edge normals, each at the
+    edge's start vertex; a segment v0 -> v1 of direction s, -s at v0 and s
+    at v1, then its flatness directions is and -is at v0; a point the four
+    cardinal directions."""
+    m = len(verts)
+    if m >= 3:
+        edges = (_step(verts[k], verts[(k + 1) % m]) for k in range(m))
+        return tuple(complex(d.imag, -d.real) / abs(d) for d in edges), verts
+    if m == 2:
+        d = _step(*verts)
+        s = d / abs(d)
+        return (-s, s, 1j * s, -1j * s), verts + verts[:1] * 2
+    # written out: -1j would be complex(-0.0, -1.0)
+    return (complex(1.0, 0.0), complex(-1.0, 0.0), complex(0.0, 1.0), complex(0.0, -1.0)), verts * 4
+
+
 def contains_ellipse(verts: tuple[complex, ...], e: SpectralEllipse, slack: float) -> ContainmentReport:
     """Certify that the ellipse lies inside the hull `verts` (as from
     `convex_hull`), up to slack; with `containment_slack` as the slack, a
     Violated verdict says that the theorem fails beyond rounding.
 
-    Each hull shape gives outward unit directions u and the vertex v each
-    is anchored at: a polygon its edge normals, each at the edge's start
-    vertex; a segment v0 -> v1 of direction s, -s at v0 and s at v1; a point
-    the four cardinal directions.  The margins are <u, v> - support(e, u),
-    and the report keeps the first minimum.  The one rule: Contained if the
-    ellipse is flat and every margin is >= -slack, else Violated.  Only a
-    segment can fail to be flat, when the ellipse leaves the segment's line
-    by more than slack on either side.
+    The margins are <u, v> - support(e, u) at the `_cone_directions` u and
+    their anchors v.  The one rule: Contained if every margin is >= -slack,
+    else Violated.  The report keeps the first minimum, leaving out a
+    segment's flatness directions: their margins only fail, by more than
+    slack, when the ellipse leaves the segment's line on that side.
     """
-    m, flat = len(verts), True
-    if m >= 3:
-        edges = (_step(verts[k], verts[(k + 1) % m]) for k in range(m))
-        dirs = [complex(d.imag, -d.real) / abs(d) for d in edges]
-        anchors = verts
-    elif m == 2:
-        v0, v1 = verts
-        d = _step(v0, v1)
-        s = d / abs(d)
-        dirs, anchors = (-s, s), verts
-        flat = all(support(e, u) - _dot(u, v0) <= slack for u in (1j * s, -1j * s))
-    else:
-        # written out: -1j would be complex(-0.0, -1.0)
-        dirs = (complex(1.0, 0.0), complex(-1.0, 0.0), complex(0.0, 1.0), complex(0.0, -1.0))
-        anchors = verts * 4
-
+    dirs, anchors = _cone_directions(verts)
     margins = [_dot(u, v) - support(e, u) for u, v in zip(dirs, anchors)]
-    worst = min(range(len(margins)), key=margins.__getitem__)
-    verdict = CONTAINED if flat and margins[worst] >= -slack else VIOLATED
+    reported = 2 if len(verts) == 2 else len(margins)
+    worst = min(range(reported), key=margins.__getitem__)
+    verdict = CONTAINED if all(x >= -slack for x in margins) else VIOLATED
     return ContainmentReport(verdict=verdict, min_margin=margins[worst], worst_direction=dirs[worst])
+
+
+def _margin(mu, u: complex, r: float, i_: float) -> float:
+    """The directional inequality's slack at u, with (R, I) = (r, i_)."""
+    return max(_dot(u, v) for v in mu) - math.hypot(u.real * r, u.imag * i_) / (math.sqrt(2.0) * (len(mu) - 1))
 
 
 def directional_margin(ns: NormalizedSpectrum, u: complex) -> float:
@@ -161,23 +167,14 @@ def directional_margin(ns: NormalizedSpectrum, u: complex) -> float:
     n = len(ns.mu)
     if n < 2:
         raise DimensionTooSmall(f"directional margin needs n >= 2, got {n}")
-    best = max(u.real * v.real + u.imag * v.imag for v in ns.mu)
-    r, i_ = el.axis_sums(ns)
-    rhs = math.hypot(u.real * r, u.imag * i_) / (math.sqrt(2.0) * (n - 1))
-    return best - rhs
+    return _margin(ns.mu, u, *el.axis_sums(ns))
 
 
-def sweep_margins(ns: NormalizedSpectrum, k: int) -> np.ndarray:
-    """directional_margin at the k directions (cos(2 pi j / k), sin(2 pi j / k)), as an array."""
+def sweep_margins(ns: NormalizedSpectrum) -> list[float]:
+    """directional_margin at the `_cone_directions` of the hull of ns.mu, in their order."""
     n = len(ns.mu)
-    if k < 4:
-        raise ValueError(f"sweep needs k >= 4 directions, got {k}")
     if n < 2:
         raise DimensionTooSmall(f"sweep needs n >= 2, got {n}")
-    theta = 2.0 * math.pi * np.arange(k) / k
-    alpha, beta = np.cos(theta), np.sin(theta)
-    mu = np.asarray(ns.mu, dtype=complex)
-    best = np.max(np.outer(alpha, mu.real) + np.outer(beta, mu.imag), axis=1)
     r, i_ = el.axis_sums(ns)
-    rhs = np.hypot(alpha * r, beta * i_) / (math.sqrt(2.0) * (n - 1))
-    return best - rhs
+    dirs, _ = _cone_directions(convex_hull(ns.mu))
+    return [_margin(ns.mu, u, r, i_) for u in dirs]

@@ -1117,19 +1117,20 @@ class TestVerify:
         assert all(row.split(",")[2] == "" for row in rows)
 
     def test_fat_ellipse_over_a_segment_hull_is_violated_and_exits_7(self, tmp_path, capsys, monkeypatch):
-        # the second trial's hull is the segment [-1, 1] and its ellipse a
-        # circle of radius 1/2: inside the segment's ends, off its line
+        # the second trial's containment is certified against the segment
+        # hull [-1, 1] and its ellipse is a circle of radius 1/2: inside the
+        # segment's ends, off its line; the sweep reads neither
         args = ["verify", "--ensemble", "Ginibre", "-n", "4", "--trials", "3", "--seed", "1", "--csv"]
         assert cli.main(args + [str(tmp_path / "clean.csv")]) == 0
         clean = (tmp_path / "clean.csv").read_text().splitlines()
         capsys.readouterr()
 
-        convex_hull, ellipse_from_normalized = cli.hl.convex_hull, cli.el.ellipse_from_normalized
+        contains_ellipse, ellipse_from_normalized = cli.hl.contains_ellipse, cli.el.ellipse_from_normalized
         hulls, shapes = [], []
 
-        def segment_on_second_trial(points):
+        def segment_on_second_trial(verts, e, slack):
             hulls.append(1)
-            return (-1 + 0j, 1 + 0j) if len(hulls) == 2 else convex_hull(points)
+            return contains_ellipse((-1 + 0j, 1 + 0j) if len(hulls) == 2 else verts, e, slack)
 
         def circle_on_second_trial(ns):
             shapes.append(1)
@@ -1137,7 +1138,7 @@ class TestVerify:
                 return cli.el.SpectralEllipse(semimajor=0.5, semiminor=0.5, major_dir=1 + 0j, foci=(0j, 0j))
             return ellipse_from_normalized(ns)
 
-        monkeypatch.setattr(cli.hl, "convex_hull", segment_on_second_trial)
+        monkeypatch.setattr(cli.hl, "contains_ellipse", segment_on_second_trial)
         monkeypatch.setattr(cli.el, "ellipse_from_normalized", circle_on_second_trial)
         assert cli.main(args + [str(tmp_path / "fat.csv")]) == cli.EXIT_VIOLATED
         assert capsys.readouterr().out.startswith("2/3 contained, ")

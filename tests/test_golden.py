@@ -29,7 +29,11 @@ finder's start moved to Fujiwara's circle.  `verify/qzero_n4_seed9.csv` was
 last re-recorded when the root finder dropped its step-halving damping and
 took the full Aberth correction on every sweep.  Both were changes of the
 root finder's iterates, not refactors, and moved only the last digits of
-some eigenvalues; every verdict stayed `Contained`.
+some eigenvalues; every verdict stayed `Contained`.  The `sweep_min` column
+of both `verify` CSVs, and nothing else, was last re-recorded when the
+sweep moved from 720 sampled directions to the cone directions of the hull,
+where its minimum is exact: `remarkextremal_n8_seed0` now reads its
+`min_margin` to within 2 ulps, and both `.stderr` files stayed the same.
 
 Some of these bytes pin the recording host's OpenBLAS kernel.  They were
 recorded on x86_64 with AVX-512 (`numpy.show_runtime()` finds X86_V4,

@@ -16,6 +16,7 @@ from spectral_ellipse.ellipse import (
 from spectral_ellipse.hull import (
     CONTAINED,
     VIOLATED,
+    _cone_directions,
     _cross,
     containment_slack,
     contains_ellipse,
@@ -27,6 +28,7 @@ from spectral_ellipse.matrix import as_matrix, decompose
 from spectral_ellipse.spectrum import eigenvalues
 
 RNG = np.random.default_rng(31337)
+EPS = 2.0**-52
 
 TRANSFORMS = (lambda z: 1j * z, lambda z: z.conjugate(), lambda z: -z)
 
@@ -390,49 +392,81 @@ class TestDirectionalMargin:
             directional_margin(normalize_mu((0.0,)), 1 + 0j)
 
 
+@st.composite
+def zero_sum_spectra(draw):
+    """Up to 10 values that sum exactly to zero, times 2^e: in the plane, on
+    a line through 0 (plus at most one point off it), repeating one value,
+    or clustered within 2^-30 of one value."""
+    ints = st.integers(-(2**10), 2**10)
+    kind = draw(st.sampled_from(("plane", "line", "equal", "cluster")))
+    k = draw(st.integers(1, 7))
+    extra = [complex(draw(ints), draw(ints)) for _ in range(draw(st.integers(0, 2)))]
+    p = complex(draw(ints), draw(ints))
+    if kind == "line":
+        pts = [draw(ints) * p for _ in range(k)] + extra[:1]
+    elif kind == "equal":
+        pts = [p] * k + extra
+    elif kind == "cluster":
+        pts = [p + complex(draw(ints), draw(ints)) * 2.0**-40 for _ in range(k)] + extra
+    else:
+        pts = [p] + [complex(draw(ints), draw(ints)) for _ in range(k)]
+    pts.append(-sum(pts))  # every partial sum is exact, so the values sum to 0
+    scale = 2.0 ** draw(st.integers(-30, 30))
+    return [v * scale for v in pts]
+
+
+GRID_720 = [cmath.exp(2j * math.pi * j / 720) for j in range(720)]
+
+
 class TestSweepMargins:
     def test_tight_pair_all_zero(self):
-        sw = sweep_margins(normalize_mu((1, -1)), 4)
+        sw = sweep_margins(normalize_mu((1, -1)))
         assert len(sw) == 4
         assert min(sw) >= -1e-12
 
-    def test_extremal_family_k360(self):
-        # every margin is nonnegative; the directions perpendicular to the
-        # real axis are exactly tight (both sides vanish), while the direction
-        # facing the clustered eigenvalue keeps the 1 - sqrt(3)/2 hull margin
-        # analogue 2 - sqrt(3)/2 here
-        sw = sweep_margins(normalize_mu((-1, -1, 2)), 360)
-        assert min(sw) >= -1e-15
-        # direction facing the clustered eigenvalue: hull margin analogue
-        assert abs(sw[180] - (1 - math.sqrt(3) / 2)) < 1e-13
-        assert sw[90] < 1e-13 and sw[270] < 1e-13
+    def test_extremal_family_segment_margins(self):
+        # the hull is the segment [-1, 2]: the direction facing the
+        # clustered eigenvalue keeps the 1 - sqrt(3)/2 hull margin, the one
+        # facing 2 keeps 2 - sqrt(3)/2, and the two directions perpendicular
+        # to the real axis are exactly tight (both sides vanish)
+        ns = normalize_mu((-1, -1, 2))
+        sw = sweep_margins(ns)
+        want = (1 - math.sqrt(3) / 2, 2 - math.sqrt(3) / 2, 0.0, 0.0)
+        assert len(sw) == 4 and sw[2:] == [0.0, 0.0]
+        assert all(abs(got - x) <= 4 * EPS * 2 for got, x in zip(sw, want))
 
     def test_matches_pointwise(self):
         lam = tuple(complex(a, b) for a, b in RNG.uniform(-1, 1, size=(5, 2)))
         lam = tuple(v - sum(lam) / 5 for v in lam)
         ns = normalize_mu(lam)
-        sw = sweep_margins(ns, 16)
-        for j in range(16):
-            theta = 2 * math.pi * j / 16
-            d = complex(math.cos(theta), math.sin(theta))
-            assert abs(sw[j] - directional_margin(ns, d)) < 1e-13
-
-    def test_shape_contract(self):
-        assert len(sweep_margins(normalize_mu((1, -1)), 7)) == 7
-
-    def test_k_too_small(self):
-        with pytest.raises(ValueError):
-            sweep_margins(normalize_mu((1, -1)), 3)
+        sw = sweep_margins(ns)
+        dirs, _ = _cone_directions(convex_hull(ns.mu))
+        assert sw == [directional_margin(ns, u) for u in dirs]
 
     def test_dimension(self):
         with pytest.raises(DimensionTooSmall, match="^sweep needs n >= 2, got 1$"):
-            sweep_margins(normalize_mu((0.0,)), 4)
+            sweep_margins(normalize_mu((0.0,)))
+
+    @given(zero_sum_spectra())
+    @settings(max_examples=200, deadline=None)
+    def test_exact_minimum_against_a_720_direction_grid(self, mu):
+        # on each normal cone the margin is concave and positively
+        # homogeneous and the cone is under pi wide, so no direction between
+        # the cone directions goes below the smaller end value when it is >= 0
+        ns = normalize_mu(mu)
+        tol = 4 * EPS * max(map(abs, ns.mu))
+        least = min(sweep_margins(ns))
+        grid = [directional_margin(ns, u) for u in GRID_720]
+        assert least <= min(grid) + tol
+        if least >= 0:
+            assert all(x >= least - tol for x in grid)
 
 
 class TestWitnessAgreement:
     def test_thousand_random_matrices(self):
-        # the hull-edge certificate and the sampled directional oracle must
-        # reach the same verdict on matrices where containment is guaranteed
+        # the hull-edge certificate and the directional oracle at the cone
+        # directions must reach the same verdict on matrices where
+        # containment is guaranteed
         for trial in range(1000):
             n = int(RNG.integers(2, 7))
             g = (RNG.standard_normal((n, n)) + 1j * RNG.standard_normal((n, n))) / np.sqrt(2 * n)
@@ -445,6 +479,6 @@ class TestWitnessAgreement:
             # sweep does the margin's arithmetic on the rotated values
             slack = containment_slack(s.values)
             rep = contains_ellipse(h, e, slack)
-            sweep_ok = min(sweep_margins(ns, 180)) >= -slack
+            sweep_ok = min(sweep_margins(ns)) >= -slack
             assert (rep.verdict == CONTAINED) == sweep_ok
             assert rep.verdict == CONTAINED

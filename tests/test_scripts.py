@@ -106,7 +106,7 @@ def test_render_gallery_unwritable_out_is_one_line(tmp_path, out):
     assert (tmp_path / "taken").read_text() == "kept"
 
 
-# --sweep-k is not a flag: the sweep size is the constant cli.SWEEP_K
+# --sweep-k is not a flag: each trial sweeps the cone directions of its hull
 BAD_BULK_ARGUMENTS = {
     ("--sizes", "1"): "argument --sizes: must be >= 2, got 1",
     ("--sweep-k", "2"): "unrecognized arguments: --sweep-k 2",
