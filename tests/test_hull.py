@@ -394,9 +394,10 @@ class TestDirectionalMargin:
 
 @st.composite
 def zero_sum_spectra(draw):
-    """Up to 10 values that sum exactly to zero, times 2^e: in the plane, on
-    a line through 0 (plus at most one point off it), repeating one value,
-    or clustered within 2^-30 of one value."""
+    """Up to 10 values that sum exactly to zero, times 2^e: in the plane; on
+    a line through 0, or on it but for one point and the one balancing the
+    sum; repeating one value; or clustered, each part within 2^-30 of one
+    value's."""
     ints = st.integers(-(2**10), 2**10)
     kind = draw(st.sampled_from(("plane", "line", "equal", "cluster")))
     k = draw(st.integers(1, 7))
@@ -433,7 +434,7 @@ class TestSweepMargins:
         sw = sweep_margins(ns)
         want = (1 - math.sqrt(3) / 2, 2 - math.sqrt(3) / 2, 0.0, 0.0)
         assert len(sw) == 4 and sw[2:] == [0.0, 0.0]
-        assert all(abs(got - x) <= 4 * EPS * 2 for got, x in zip(sw, want))
+        assert all(abs(got - x) <= 4 * EPS * 2 for got, x in zip(sw, want))  # max|mu| = 2
 
     def test_matches_pointwise(self):
         lam = tuple(complex(a, b) for a, b in RNG.uniform(-1, 1, size=(5, 2)))
