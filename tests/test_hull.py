@@ -444,6 +444,20 @@ class TestSweepMargins:
         dirs, _ = _cone_directions(convex_hull(ns.mu))
         assert sw == [directional_margin(ns, u) for u in dirs]
 
+    def test_shape_contract(self):
+        # one margin per edge of a polygon hull, four for a segment or a
+        # point; points inside the hull or on its edges add none
+        cases = {
+            (0, 0): 4,
+            (1, -1): 4,
+            (1, -1, 0): 4,
+            (1, 1j, -1 - 1j): 3,
+            (1, 1j, -1, -1j): 4,
+            (1, 1j, -1, -1j, 0, 0.5 + 0.5j): 4,
+        }
+        for mu, k in cases.items():
+            assert len(sweep_margins(normalize_mu(mu))) == k, mu
+
     def test_dimension(self):
         with pytest.raises(DimensionTooSmall, match="^sweep needs n >= 2, got 1$"):
             sweep_margins(normalize_mu((0.0,)))
