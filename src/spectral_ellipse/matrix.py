@@ -70,7 +70,11 @@ def decompose(a: np.ndarray) -> Decomposition:
     a = np.asarray(a, dtype=complex)
     n = a.shape[0]
     gamma = complex(np.trace(a)) / n
-    a0 = a - gamma * np.eye(n, dtype=complex)
+    # A - gamma * I with the bits of a - gamma * eye(n), signed zeros too:
+    # gamma * 0 off the diagonal and gamma * 1 on it, without the n x n eye
+    off, on = gamma * np.array([0j, 1 + 0j])
+    a0 = a - off
+    np.fill_diagonal(a0, np.diagonal(a) - on)
     a0.flags.writeable = False
     return Decomposition(
         gamma=gamma,

@@ -4,6 +4,14 @@ file names its format: Matrix Market text opens with its %%MatrixMarket
 banner (any case), which no JSON text can, so `load_matrix` reads a file
 that opens with it as Matrix Market and any other as JSON, whatever its name.
 
+`load_matrix` reads the file once, as bytes.  An ASCII `array` file in the
+plain layout (`_ascii_array`: header, comment lines, a size line of just
+the two sizes, data) goes from those bytes to float64 one chunk at a time,
+each chunk in one np.fromstring call, which rounds as float() does.  Every
+other file, and any the byte reader refuses, is decoded once, its line ends
+read as text mode reads them, and parsed as text by `parse_mtx` or
+`parse_json_matrix`, which alone name a fault.
+
 Matrix Market text after the header, less its `%` comment lines, is one
 whitespace token stream for both layouts: the size line is its first two
 (`array`) or three (`coordinate`) tokens, read by `int()`, and a later
@@ -28,13 +36,14 @@ from __future__ import annotations
 import json
 import math
 import re
+import warnings
 from itertools import chain
 
 import numpy as np
 
 from .matrix import as_matrix
 
-_CHUNK = 1 << 16  # characters converted at a time
+_CHUNK = 1 << 16  # characters (bytes, on the byte path) converted at a time
 
 # the header line: up to the first line end, as str.splitlines() cuts lines
 _FIRST_LINE = re.compile(r"[^\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]*")
@@ -129,8 +138,9 @@ def _column_major(values: np.ndarray, n: int, width: int) -> np.ndarray:
     return as_matrix(data.reshape(n, n).T)  # array data runs down columns
 
 
-def parse_mtx(text: str) -> np.ndarray:
-    first = _FIRST_LINE.match(text).group()
+def _header(first: str) -> tuple[str, int]:
+    """The format and the value width (2 for complex, else 1) that the
+    Matrix Market header line `first` names."""
     if not first.lower().startswith("%%matrixmarket"):
         raise ParseError("missing %%MatrixMarket header")
     header = first.split()
@@ -145,7 +155,12 @@ def parse_mtx(text: str) -> np.ndarray:
         raise ParseError(f"unsupported field {field!r}")
     if symmetry != "general":
         raise ParseError(f"unsupported symmetry {symmetry!r}")
-    width = 2 if field == "complex" else 1
+    return fmt, 2 if field == "complex" else 1
+
+
+def parse_mtx(text: str) -> np.ndarray:
+    first = _FIRST_LINE.match(text).group()
+    fmt, width = _header(first)
     size, data = _split(_mtx_chunks(text, len(first)), 2 if fmt == "array" else 3)
     try:  # an array size line has no entry count
         rows, cols, nnz = map(int, size + ["0"] if fmt == "array" else size)
@@ -195,6 +210,69 @@ def parse_mtx(text: str) -> np.ndarray:
     if not np.isfinite(a).all():
         raise ParseError("duplicate coordinate entries sum to a non-finite value")
     return as_matrix(a)
+
+
+def _convert(data: bytes, pos: int, values: np.ndarray) -> int | None:
+    """How many numbers data[pos:] holds, converted into `values` chunk by
+    chunk, each cut after a line feed; None when a chunk does not convert
+    to the end (a `%` never does), holds a value that is not finite, or
+    overfills `values`."""
+    total = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)  # numpy 1.x warns and stops at unmatched data
+        while pos < len(data):
+            end = data.find(b"\n", pos + _CHUNK) + 1 or len(data)
+            chunk = data[pos:end]
+            pos = end
+            if chunk.isspace():  # np.fromstring reads a blank string as [-1.0]
+                continue
+            try:
+                part = np.fromstring(chunk, dtype=float, sep=" ")
+            except (ValueError, DeprecationWarning):
+                return None
+            if total + len(part) > len(values) or not np.isfinite(part).all():
+                return None
+            values[total : total + len(part)] = part
+            total += len(part)
+    return total
+
+
+def _ascii_array(data: bytes) -> tuple[np.ndarray, int, int] | None:
+    """(values, n, width) of ASCII Matrix Market `array` bytes in the plain
+    layout, converted straight from the bytes; None for any other file,
+    which the str parser reads and whose fault it names.
+
+    The plain layout is the header line, then comment or blank lines, then
+    a size line of just the two sizes, then data with no `%`; each line ends
+    in LF or CRLF.  Data chunks are cut after a line feed, and each goes to
+    float64 in one np.fromstring call, which converts by CPython's
+    PyOS_string_to_double as float() does and splits at ASCII whitespace as
+    str.split() does.  A token float() rejects (`1_0`), a separator
+    str.split() has and C has not (`\x1c`), or a value that is not finite
+    sends the file to the str parser."""
+    if data[:14].lower() != b"%%matrixmarket" or not data.isascii():
+        return None
+    lines, pos = [], 0  # the header and size lines
+    while len(lines) < 2:
+        end = data.find(b"\n", pos)
+        if end < 0:
+            return None
+        line = data[pos:end].decode().removesuffix("\r")
+        pos = end + 1
+        if not _FIRST_LINE.fullmatch(line):  # a line end that text mode or splitlines() would cut at
+            return None
+        if not lines or (line.split() and not line.lstrip().startswith("%")):
+            lines.append(line)
+    try:
+        fmt, width = _header(lines[0])
+        rows, cols = map(int, lines[1].split())
+    except ValueError:  # also a ParseError, and a size line without exactly two tokens
+        return None
+    count = rows * cols * width
+    if fmt != "array" or rows < 1 or rows != cols or 2 * count - 1 > len(data) - pos:
+        return None
+    values = np.empty(count)
+    return (values, rows, width) if _convert(data, pos, values) == count else None
 
 
 def _json_value(idx: int, v) -> float:
@@ -297,10 +375,20 @@ def parse_json_matrix(text: str) -> np.ndarray:
 
 def load_matrix(path: str) -> np.ndarray:
     """Read a UTF-8 matrix file: Matrix Market when it opens with the
-    %%MatrixMarket banner, else JSON."""
+    %%MatrixMarket banner, else JSON.  The file is read once, as bytes;
+    ASCII `array` data is converted from them (`_ascii_array`), and any
+    other file is decoded, with the line ends text mode reads as `\n`, and
+    parsed as text."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        with open(path, "rb") as fh:
+            data = fh.read()
+        array = _ascii_array(data)
+        text = None if array is not None else data.decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path!r}: {exc}") from exc
+    del data  # the values or the text alone are held from here
+    if array is not None:
+        return _column_major(*array)
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     return parse_mtx(text) if text[:14].lower() == "%%matrixmarket" else parse_json_matrix(text)

@@ -654,7 +654,10 @@ class TestParserParity:
             finally:
                 tracemalloc.stop()
             assert same_bits(parsed, a)
-        assert peaks[0] <= len(text) + 4 * 16 * n * n
+        if fmt == "json":
+            assert peaks[0] <= len(text) + 4 * 16 * n * n
+        else:  # the file's bytes, the value array and the matrix, and no decoded text
+            assert peaks[0] <= len(text) + (16 if fmt == "mtx" else 8) * n * n + 16 * n * n
         # the value array and the frozen matrix, plus the transpose of
         # complex array data; real data is converted and transposed at once
         assert peaks[1] <= (3 if fmt == "mtx" else 2) * 16 * n * n
@@ -696,6 +699,182 @@ class TestParserParity:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("parse error: invalid JSON: ") and err.count("\n") == 1 and err.endswith("\n")
+
+
+def text_mode_outcome(path):
+    """What load_matrix made of a file when it read it in text mode and
+    handed the text to the str parsers: `outcome` of that, or of the
+    decode error."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        return "ParseError", f"cannot read {path!r}: {exc}"
+    return outcome(parse_mtx if text[:14].lower() == "%%matrixmarket" else parse_json_matrix, text)
+
+
+def write_and_compare(directory, data):
+    """(load_matrix's outcome, the text-mode outcome) for `data`, str or
+    bytes, written to a file in `directory`."""
+    path = os.path.join(directory, "matrix")
+    with open(path, "wb") as fh:
+        fh.write(data.encode("utf-8") if isinstance(data, str) else data)
+    return outcome(load_matrix, path), text_mode_outcome(path)
+
+
+@st.composite
+def plain_array_files(draw):
+    """An ASCII Matrix Market `array` file in the layout the byte reader
+    takes, perhaps with one fault it must hand to the str parser."""
+    field = draw(st.sampled_from(["real", "complex"]))
+    n = draw(st.integers(1, 4))
+    value = st.floats(allow_nan=False, allow_infinity=False, width=64)
+    spelled = st.sampled_from([repr, "{:.17g}".format, "{:.25e}".format, "{:.12g}".format, "{:+.3E}".format])
+    count = n * n * (2 if field == "complex" else 1)
+    tokens = [fmt(x) for fmt, x in zip(draw(st.lists(spelled, min_size=count, max_size=count)),
+                                        draw(st.lists(value, min_size=count, max_size=count)))]
+    if draw(st.booleans()):
+        fault = draw(st.sampled_from(["1_0", "0x10", "1-2", "1e400", "nan", "%", "1\x1c2", "\x00", "٣", "1 2"]))
+        tokens.insert(draw(st.integers(0, len(tokens))), fault)
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    head = [f"%%MatrixMarket matrix array {field} general"]
+    head += draw(st.lists(st.sampled_from(["% comment", "  %", "", " \t"]), max_size=2))
+    head.append(f"{n} {n}")
+    body = "".join(tok + draw(st.sampled_from([" ", "\t", "\n", "\n\n", "\r\n", " \n  ", "\v", "\f"])) for tok in tokens)
+    return newline.join(head) + newline + body + draw(st.sampled_from(["", "\n", "\n\n \n"]))
+
+
+class TestByteReader:
+    """load_matrix reads ASCII `array` data from the file's bytes; every
+    file must give what the str parsers gave the text mode read of it: the
+    same matrix bits, or the same exception and message."""
+
+    @pytest.fixture(scope="class")
+    def workdir(self, tmp_path_factory):
+        return str(tmp_path_factory.mktemp("byte-reader"))
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.one_of(plain_array_files(), mtx_files(), json_files()), chunk=st.sampled_from([1, 2, 7, 40]))
+    def test_reads_as_the_text_parsers_do(self, workdir, data, chunk):
+        with mock.patch.object(matrixio, "_CHUNK", chunk):
+            got, expected = write_and_compare(workdir, data)
+        assert got == expected
+
+    @pytest.mark.parametrize("chunk", [1, 7, matrixio._CHUNK])
+    @pytest.mark.parametrize(
+        "data",
+        [
+            # blank chunks, which np.fromstring reads as [-1.0], and trailing blank lines
+            MTX_ARRAY + "2 2\n1 2\n\n\n\n\n3 4\n",
+            MTX_ARRAY + "2 2\n1 2\n\n\n3\n",
+            MTX_ARRAY + "2 2\n1 2 3 4\n\n\n  \n\t\n",
+            MTX_ARRAY + "2 2\n1 2 3\n\n\n  \n",
+            MTX_ARRAY + "% made by hand\n%\n   % indented\n\n2 2\n1 2 3 4\n",
+            MTX_ARRAY + "% made by hand\r2 2\n1 1\n5\n",
+            MTX_ARRAY + "% made by hand\x1e2 2\n1 1\n5\n",
+            MTX_ARRAY + "2 2\n1 2\n% note\n3 4\n",
+            MTX_ARRAY + "2 2\n1 2 3 4%\n",
+            MTX_ARRAY + "2 2\n1 2 3 1_0\n",
+            MTX_ARRAY + "2 2\n1 2 3 ١٢\n",
+            MTX_ARRAY + "2 2\n1 2 3\x1c4\n",
+            MTX_ARRAY + "2 2\n1 2\x1f3 4\n",
+            MTX_ARRAY + "2 2\n1 2 3 1-2\n",
+            MTX_ARRAY + "2 2\n1 2 3 0x1\n",
+            MTX_ARRAY + "2 2\n1 2 3 4\x00\n",
+            MTX_ARRAY + "2 2\n1\v2\f3\t4",
+            MTX_ARRAY.replace("\n", "\r\n") + "2 2\r\n1 2\r\n3 4\r\n",
+            MTX_ARRAY.replace("\n", "\r") + "2 2\r1 2\r3 4\r",
+            MTX_ARRAY.replace("\n", "\r\r\n") + "2 2\r\n1 2 3 4\r\n",
+            MTX_ARRAY + "2 2\n1 2 3 1.8e308\n",
+            MTX_ARRAY + "2 2\n1 2 3 nan\n",
+            MTX_ARRAY + "100000 100000\n1\n",
+            MTX_ARRAY + "2 3\n1 2 3 4 5 6\n",
+            MTX_ARRAY + "2 2\n1 2 3\n",
+            MTX_ARRAY + "2 2\n1 2 3 4 5\n",
+            MTX_ARRAY + "2\n2\n1 2 3 4\n",
+            MTX_ARRAY + "2 2 1 2 3 4\n",
+            MTX_ARRAY + "2 2",
+            MTX_ARRAY + "2 x\n1 2 3 4\n",
+            "%%MatrixMarket matrix array complex general\n1 1\n-0.0 5e-324\n",
+            "%%MatrixMarket matrix array complex general\n2 2\n1 2 3 4 5 6 7\n",
+            "%%MatrixMarket matrix array real general \n1 1\n7\n",
+            "%%MatrixMarket matrix array real general\x1c\n1 1\n7\n",
+            "%%MatrixMarket matrix array real\n1 1\n7\n",
+            b"%%MatrixMarket matrix array real general\n1 1\n\xff\n",
+            b"%%MatrixMarket matrix array real general\n% \xff\n1 1\n7\n",
+            b"%%MatrixMarket matrix array real general\n1 1\n7 \xe2\x82",
+            b'{"n": 1, "entries": [[1, 0]]}\r\n\xff',
+        ],
+    )
+    def test_edge_cases(self, tmp_path, data, chunk):
+        with mock.patch.object(matrixio, "_CHUNK", chunk):
+            got, expected = write_and_compare(str(tmp_path), data)
+        assert got == expected
+
+    @pytest.mark.parametrize("name", sorted(os.listdir(GOLDEN_INPUTS)))
+    def test_every_golden_input(self, name):
+        path = os.path.join(GOLDEN_INPUTS, name)
+        assert outcome(load_matrix, path) == text_mode_outcome(path)
+
+    def test_a_huge_declared_size_allocates_nothing(self, tmp_path):
+        path = tmp_path / "huge.mtx"
+        path.write_text("%%MatrixMarket matrix array complex general\n4000 4000\n1 2\n")
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParseError, match=r"^expected 32000000 data tokens, got 2$"):
+                load_matrix(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16
+
+    def test_numpy_1_unmatched_data_warning_is_a_refusal(self, tmp_path, monkeypatch):
+        # numpy 1.x warns on unmatched data and returns the values before
+        # it, where numpy 2 raises; here the four values before the fifth,
+        # bad token would fill the 2 x 2 matrix
+        def numpy_1_fromstring(chunk, dtype, sep):
+            good = []
+            for tok in chunk.split():
+                try:
+                    good.append(float(tok))
+                except ValueError:
+                    warnings.warn("string or file could not be read to its end due to unmatched data; "
+                                  "this will raise a ValueError in the future.", DeprecationWarning, stacklevel=2)
+                    break
+            return np.array(good)
+
+        monkeypatch.setattr(matrixio.np, "fromstring", numpy_1_fromstring)
+        path = tmp_path / "m.mtx"
+        path.write_text(MTX_ARRAY + "2 2\n1 2 3 4 x\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)  # numpy 1.x's default shows it, no more
+            with pytest.raises(ParseError, match=r"^expected 4 data tokens, got 5$"):
+                load_matrix(str(path))
+
+    def test_plain_array_files_skip_the_str_parser(self, tmp_path, monkeypatch):
+        # the byte reader is the speed of every benchmark mtx op; a change
+        # that quietly sends these files back to the str parser fails here
+        path = tmp_path / "workload.mtx"
+        script = (
+            "import sys; import numpy as np; sys.path[:0] = sys.argv[1:3]; import workloads; "
+            "rng = np.random.default_rng(4); "
+            "workloads.write_mtx(sys.argv[3], rng.standard_normal((40, 40)) + 1j * rng.standard_normal((40, 40)))"
+        )
+        root = os.path.dirname(SRC)
+        subprocess.run(
+            [sys.executable, "-c", script, os.path.join(root, "perfbench"), SRC, str(path)],
+            check=True, env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"},
+        )
+        commented = tmp_path / "commented.mtx"
+        commented.write_bytes(b"%%MatrixMarket matrix array real general\r\n% by hand\r\n\r\n2 2\r\n1 2\r\n3 4\r\n")
+        paths = [str(path), os.path.join(GOLDEN_INPUTS, "prescribed_n8.mtx"), str(commented)]
+        expected = [text_mode_outcome(p) for p in paths]
+
+        def refuse(text):
+            raise AssertionError("read by the str parser")
+
+        monkeypatch.setattr(matrixio, "parse_mtx", refuse)
+        assert [outcome(load_matrix, p) for p in paths] == expected
 
 
 class TestCanonicalJson:

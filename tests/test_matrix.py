@@ -92,6 +92,23 @@ class TestDecompose:
         assert np.array_equal(d.traceless_part, a)
         assert d.q_traceless == 0
 
+    @pytest.mark.parametrize("gamma_signs", [(1, 1), (1, -1), (-1, 1), (-1, -1), (0, 0)])
+    def test_traceless_part_has_the_bits_of_subtracting_gamma_times_the_identity(self, gamma_signs):
+        # every entry of A0 as a - gamma * eye(n) rounds it, the signed
+        # zeros of a zero part included, for gamma in each quadrant
+        n = 5
+        zeros = np.array([0.0, -0.0])
+        a = np.empty((n, n), dtype=complex)
+        a.real, a.imag = RNG.choice(zeros, (n, n)), RNG.choice(zeros, (n, n))  # 1j * -0.0 would read +0.0
+        a[1, 3] = complex(-2.5, 0.75)
+        a[0, 0] = complex(-0.0, 1e-300)
+        re, im = gamma_signs
+        a[2, 2] = complex(3.0 * n * re if re else -0.0, 2.0 * n * im if im else -0.0)
+        d = decompose(as_matrix(a))
+        expected = a - d.gamma * np.eye(n, dtype=complex)
+        assert d.traceless_part.tobytes() == expected.tobytes()
+        assert not d.traceless_part.flags.writeable
+
     def test_invariants_bulk(self):
         # traceless-ness, the q split identity, and the inner-product
         # orthogonality of the two parts, over 10^4 random matrices
