@@ -243,8 +243,8 @@ def _ascii_array(data: bytes) -> tuple[np.ndarray, int, int] | None:
     which the str parser reads and whose fault it names.
 
     The plain layout is the header line, then comment or blank lines, then
-    a size line of just the two sizes, then data with no `%`; each line ends
-    in LF or CRLF.  Data chunks are cut after a line feed, and each goes to
+    a size line of just the two sizes, each line ending in LF or CRLF, then
+    data with no `%`.  Data chunks are cut after a line feed, and each goes to
     float64 in one np.fromstring call, which converts by CPython's
     PyOS_string_to_double as float() does and splits at ASCII whitespace as
     str.split() does.  A token float() rejects (`1_0`), a separator
