@@ -28,6 +28,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 
 from . import ellipse as el  # axis_sums is called as el.axis_sums, where a tracer can wrap it
 from .ellipse import DimensionTooSmall, NormalizedSpectrum, SpectralEllipse, support
@@ -77,7 +78,7 @@ def convex_hull(points) -> tuple[complex, ...]:
         raise ValueError("convex hull needs at least one point")
     if not all(map(cmath.isfinite, pts)):
         raise ValueError("hull points must be finite")
-    uniq = sorted(set(pts), key=lambda z: (z.real, z.imag))
+    uniq = sorted(set(pts), key=attrgetter("real", "imag"))
     if len(uniq) == 1:
         return (uniq[0],)
 

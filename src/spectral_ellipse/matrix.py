@@ -24,7 +24,7 @@ def as_matrix(entries) -> np.ndarray:
     a = np.asarray(entries, dtype=complex, order="C")
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
+    if not np.isfinite(a).all():  # a complex value is finite when both parts are
         raise ValueError("matrix entries must be finite")
     a.flags.writeable = False
     return a
@@ -43,7 +43,9 @@ def power_of_two_scale(a: np.ndarray) -> tuple[np.ndarray, int]:
     2017).  2^-e is applied in two factors because it overflows as one float
     for subnormal m.
     """
-    m = float(max(np.max(np.abs(a.real)), np.max(np.abs(a.imag))))
+    flat = np.ravel(a)
+    parts = flat.view(flat.real.dtype) if np.iscomplexobj(flat) else flat  # each complex as its two parts
+    m = float(np.abs(parts).max())
     e = math.frexp(m)[1]
     half = -e // 2
     return a * math.ldexp(1.0, half) * math.ldexp(1.0, -e - half), e
@@ -69,12 +71,11 @@ class Decomposition:
 def decompose(a: np.ndarray) -> Decomposition:
     a = np.asarray(a, dtype=complex)
     n = a.shape[0]
-    gamma = complex(np.trace(a)) / n
+    gamma = complex(a.trace()) / n
     # A - gamma * I with the bits of a - gamma * eye(n), signed zeros too:
     # gamma * 0 off the diagonal and gamma * 1 on it, without the n x n eye
-    off, on = gamma * np.array([0j, 1 + 0j])
-    a0 = a - off
-    np.fill_diagonal(a0, np.diagonal(a) - on)
+    a0 = a - gamma * 0j
+    a0.flat[:: n + 1] = a.diagonal() - gamma * (1 + 0j)
     a0.flags.writeable = False
     return Decomposition(
         gamma=gamma,

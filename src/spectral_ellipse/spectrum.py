@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
@@ -90,7 +91,7 @@ def eigenvalues(a: np.ndarray) -> Spectrum:
     with np.errstate(over="ignore", invalid="ignore"):  # overflow ends in NonFinite or NonConvergence
         scale = float(np.linalg.norm(a)) / math.sqrt(n)
         roots = find_roots(matrix.char_poly(a / scale))
-    lams = tuple(sorted((scale * r for r in roots), key=lambda z: (z.real, z.imag)))
+    lams = tuple(sorted((scale * r for r in roots), key=attrgetter("real", "imag")))
 
     limit = moment_tol(a)
     try:

@@ -19,6 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spectral_ellipse import cli, matrixio
+from spectral_ellipse import report as report_py
 from spectral_ellipse.ellipse import DimensionTooSmall
 from spectral_ellipse.ensembles import KINDS, EnsembleSpec, generate
 from spectral_ellipse.matrixio import NonSquare, ParseError, load_matrix, parse_json_matrix, parse_mtx
@@ -909,6 +910,129 @@ class TestCanonicalJson:
             canonical_json(obj)
 
 
+def reference_json(obj) -> str:
+    """canonical_json as it was first written: one recursive emitter that
+    tests each value with isinstance in a fixed order, the reference for
+    the writer's text and TypeError."""
+
+    def emit(obj, indent, out):
+        pad = "  " * indent
+        if obj is None:
+            out.append("null")
+        elif isinstance(obj, bool):
+            out.append("true" if obj else "false")
+        elif isinstance(obj, int):
+            out.append(str(obj))
+        elif isinstance(obj, float):
+            out.append(fmt_float(obj))
+        elif isinstance(obj, str):
+            out.append(json.dumps(obj, ensure_ascii=False))
+        elif isinstance(obj, (list, tuple)):
+            if not obj:
+                out.append("[]")
+                return
+            out.append("[\n")
+            for i, item in enumerate(obj):
+                out.append(pad + "  ")
+                emit(item, indent + 1, out)
+                out.append(",\n" if i + 1 < len(obj) else "\n")
+            out.append(pad + "]")
+        elif isinstance(obj, dict):
+            if not obj:
+                out.append("{}")
+                return
+            out.append("{\n")
+            items = list(obj.items())
+            for i, (key, value) in enumerate(items):
+                out.append(pad + "  " + json.dumps(str(key), ensure_ascii=False) + ": ")
+                emit(value, indent + 1, out)
+                out.append(",\n" if i + 1 < len(items) else "\n")
+            out.append(pad + "}")
+        else:
+            raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+    out: list[str] = []
+    emit(obj, 0, out)
+    out.append("\n")
+    return "".join(out)
+
+
+def written(writer, obj):
+    """The writer's text for obj, or the message of its TypeError."""
+    try:
+        return writer(obj)
+    except TypeError as exc:
+        return TypeError, str(exc)
+
+
+class Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 2**70
+
+
+class Key(str):
+    def __str__(self):
+        return "shown"
+
+
+EDGE_FLOATS = (-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308, math.inf, -math.inf, math.nan, 0.1, 1e16)
+EDGE_STRINGS = ("", "re", 'quote"back\\slash', "tab\tnewline\n", "\x00\x1f\x7f", "é∑", "\u2028\u2029", "😀", "\ud800")
+EDGE_KEYS = (1, True, 1.0, None, -0.0, 2**80, Key("re"))
+SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(-(2**200), 2**200),
+    st.floats(),
+    st.sampled_from(EDGE_FLOATS),
+    st.floats().map(np.float64),
+    st.sampled_from((Level.LOW, Level.HIGH)),
+    st.text(max_size=6),
+    st.sampled_from(EDGE_STRINGS + (Key("value"),)),
+)
+UNSUPPORTED = st.sampled_from((1j, {1, 2}, np.int64(3), b"bytes", np.float32(0.5), frozenset()))
+NESTED = st.recursive(
+    SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(st.one_of(st.text(max_size=4), st.sampled_from(EDGE_STRINGS + EDGE_KEYS)), inner, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+class TestWriterParity:
+    """canonical_json dispatches on exact type and caches key texts; it
+    writes what the reference emitter writes, and raises where it raises."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(NESTED)
+    def test_same_text_as_the_reference(self, obj):
+        assert written(canonical_json, obj) == written(reference_json, obj)
+
+    @settings(max_examples=200, deadline=None)
+    @given(NESTED, UNSUPPORTED, st.integers(0, 3))
+    def test_same_type_error_as_the_reference(self, obj, bad, depth):
+        for _ in range(depth):
+            obj = {"k": [obj, bad]} if depth % 2 else [bad, obj]
+        got = written(canonical_json, obj if depth else bad)
+        assert got == written(reference_json, obj if depth else bad)
+        assert got[0] is TypeError
+
+    def test_analysis_reports(self):
+        for n in (1, 2, 16):
+            a = generate(EnsembleSpec("Ginibre", n, n))
+            for obj in (cli.analysis_report(cli.analyze(a)), cli.bound_report(a)):
+                assert canonical_json(obj) == reference_json(obj)
+
+    def test_more_keys_than_the_cache_holds(self):
+        obj = {f"key{i}": float(i) for i in range(3 * report_py._KEY_CACHE_SIZE)}
+        assert canonical_json(obj) == reference_json(obj)
+        assert canonical_json(obj) == reference_json(obj)
+        assert len(report_py._key_texts) <= report_py._KEY_CACHE_SIZE
+
+
 class TestAnalyze:
     def test_diag13_report(self, tmp_path, capsys):
         path = diag13_file(tmp_path)
@@ -1205,6 +1329,77 @@ class TestExitCodes:
         out, err = capsys.readouterr()
         assert out == "" and err == "cannot write: ro.svg is a file that cannot be written\n"
         assert os.listdir(tmp_path) == ["ro.svg"] and (tmp_path / "ro.svg").read_text() == "kept"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["analyze", "m.json", "--json", "out", "--svg", "out"], "out names the file of another output"),
+            (["analyze", "m.json", "--json", "m.json"], "m.json names the input file"),
+            (["analyze", "m.json", "--svg", "./m.json"], "./m.json names the input file"),
+            (["analyze", "m.json", "--json", "link.json"], "link.json names the input file"),
+            (["analyze", "m.json", "--json", "hard.json"], "hard.json names the input file"),
+            (["analyze", "m.json", "--json", "sub/../out", "--svg", "out"], "out names the file of another output"),
+            (["bound", "m.json", "--json", "m.json"], "m.json names the input file"),
+            (["bound", "sub/../m.json", "--json", "link.json"], "link.json names the input file"),
+        ],
+        ids=["analyze-json-svg", "analyze-json-input", "analyze-svg-input", "symlink", "hard-link",
+             "dotdot-outputs", "bound-json-input", "bound-symlink"],
+    )
+    def test_colliding_outputs_are_6_before_anything_is_read(self, tmp_path, monkeypatch, capsys, argv, message):
+        monkeypatch.chdir(tmp_path)
+        diag13_file(tmp_path)
+        os.rename("diag13.json", "m.json")
+        os.mkdir("sub")
+        os.symlink("m.json", "link.json")
+        os.link("m.json", "hard.json")
+        before = {name: (tmp_path / name).read_bytes() for name in ("m.json", "hard.json")}
+
+        def untouched(*args, **kwargs):
+            raise AssertionError("the input was read before the outputs were checked")
+
+        monkeypatch.setattr(cli, "load_matrix", untouched)
+        assert cli.main(argv) == cli.EXIT_OUTPUT
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"cannot write: {message}\n"
+        assert sorted(os.listdir(tmp_path)) == ["hard.json", "link.json", "m.json", "sub"]
+        assert {name: (tmp_path / name).read_bytes() for name in before} == before
+
+    def test_an_existing_output_named_twice_is_6(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "out").write_text("kept")
+        assert cli.main(["analyze", diag13_file(tmp_path), "--json", "out", "--svg", os.path.abspath("out")]) == cli.EXIT_OUTPUT
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"cannot write: {os.path.abspath('out')} names the file of another output\n"
+        assert (tmp_path / "out").read_text() == "kept"
+
+    def test_the_input_as_output_is_6_in_a_fresh_process_and_the_input_survives(self, tmp_path):
+        path = diag13_file(tmp_path)
+        before = open(path, "rb").read()
+        proc = run_cli(["analyze", path, "--json", path])
+        assert proc.returncode == cli.EXIT_OUTPUT and proc.stdout == ""
+        assert proc.stderr == f"cannot write: {path} names the input file\n"
+        assert open(path, "rb").read() == before
+        assert run_cli(["bound", path]).returncode == cli.EXIT_OK
+
+    def test_a_device_may_take_both_outputs(self, capsys):
+        # /dev/null is not a regular file: writing both outputs there loses nothing
+        path = os.path.join(GOLDEN_INPUTS, "n2.json")
+        assert cli.main(["analyze", path, "--json", os.devnull, "--svg", os.devnull]) == cli.EXIT_OK
+        out, err = capsys.readouterr()
+        assert err == "" and json.loads(out)["n"] == 2
+
+    def test_an_output_over_a_longer_file_holds_just_the_report(self, tmp_path, capsys):
+        # _save writes over the old bytes and cuts the file at the report's end
+        json_path, svg_path = tmp_path / "r.json", tmp_path / "p.svg"
+        json_path.write_bytes(b"x" * 100_000)
+        svg_path.write_bytes(b"y" * 100_000)
+        path = os.path.join(GOLDEN_INPUTS, "n2.json")
+        assert cli.main(["analyze", path, "--json", str(json_path), "--svg", str(svg_path)]) == cli.EXIT_OK
+        out, _ = capsys.readouterr()
+        assert json_path.read_bytes() == out.encode("utf-8")
+        assert svg_path.read_bytes() == cli.render_svg(cli.analyze(load_matrix(path))).encode("utf-8")
+        assert cli.main(["bound", path, "--json", str(json_path)]) == cli.EXIT_OK
+        assert json_path.read_bytes() == capsys.readouterr().out.encode("utf-8")
 
     @pytest.mark.parametrize("command", ["analyze", "bound"])
     def test_overflow_is_5(self, tmp_path, capsys, command):
@@ -1869,6 +2064,18 @@ class TestReportInvariants:
             lower = report["bounds"]["trace_only_lower"]
             observed = report["bounds"]["observed_spectral_radius"]
             assert lower <= observed + 1e-8 * (1 + observed)
+
+    def test_hull_vertices_are_eigenvalues_to_the_bit(self, tmp_path, capsys):
+        # analysis_report takes each eigenvalue to A's frame once and reads
+        # each hull vertex's point from there
+        for kind in ("Ginibre", "Nilpotent", "QZero"):
+            a = generate(EnsembleSpec(kind, 7, 3))
+            entries = [[v.real, v.imag] for v in np.asarray(a).ravel()]
+            assert cli.main(["analyze", write_json_matrix(tmp_path / "a.json", entries, 7)]) == 0
+            report = json.loads(capsys.readouterr().out)
+            points = {(v["re"], v["im"]) for v in report["eigenvalues"]}
+            assert {(v["re"], v["im"]) for v in report["hull_vertices"]} <= points
+            assert report["bounds"]["observed_spectral_radius"] == max(abs(complex(*p)) for p in points)
 
     def test_report_round_trips_losslessly(self, tmp_path, capsys):
         a = generate(EnsembleSpec("Ginibre", 5, 77))
