@@ -10,8 +10,9 @@ range.  Seeds 0..5999 give exit 0 or 5 (numeric overflow) but for three
 spectrum, and moment validation catches it (exit 4).  Those inputs are
 committed under `tests/golden/fuzz/` as `wide_<seed>.json`, and
 `expected.json` holds each command's exit and its one stderr line.  The
-moment residuals in that line follow the CPU's OpenBLAS kernel, as the
-`analyze` goldens do (see tests/test_golden.py).
+moment residuals in that line come from the eigensolve's last bits, which
+may follow the CPU's OpenBLAS kernel as some `analyze` goldens do (see
+tests/test_golden.py); on a simulated AVX2 host they stayed the same.
 
 A new input whose exit is a defect joins the corpus in the change that
 fixes it.  To search a range of seeds for inputs that end in neither 0
